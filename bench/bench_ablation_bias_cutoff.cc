@@ -12,7 +12,7 @@
 
 #include "core/classification.hh"
 #include "core/pipeline.hh"
-#include "sim/bpred_sim.hh"
+#include "sim/batched_replay.hh"
 #include "util/strutil.hh"
 
 using namespace bwsa;
@@ -61,14 +61,9 @@ main(int argc, char **argv)
 
             RequiredSizeResult req = pipeline.requiredSize(1024);
 
-            PredictorPtr a128 =
-                makePredictor(pipeline.predictorSpec(128));
-            PredictorPtr a1024 =
-                makePredictor(pipeline.predictorSpec(1024));
-            std::vector<Predictor *> contenders{a128.get(),
-                                                a1024.get()};
-            std::vector<PredictionStats> results =
-                comparePredictors(source, contenders);
+            std::vector<PredictionStats> results = replayBatched(
+                source, {pipeline.predictorSpec(128),
+                         pipeline.predictorSpec(1024)});
 
             table.addRow(
                 {run.display, fixedString(cutoff, 3),

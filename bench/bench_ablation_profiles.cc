@@ -18,7 +18,7 @@
 #include "bench_common.hh"
 
 #include "core/pipeline.hh"
-#include "sim/bpred_sim.hh"
+#include "sim/batched_replay.hh"
 #include "util/strutil.hh"
 
 using namespace bwsa;
@@ -60,14 +60,9 @@ main(int argc, char **argv)
         RequiredSizeResult rm = merged.requiredSize(1024);
 
         // Cross-input prediction quality at a fixed 256-entry table.
-        PredictorPtr trained_a = makePredictor(pa.predictorSpec(256));
-        PredictorPtr trained_m =
-            makePredictor(merged.predictorSpec(256));
-        PredictorPtr ideal = makePredictor(interferenceFreeSpec());
-        std::vector<Predictor *> contenders{
-            trained_a.get(), trained_m.get(), ideal.get()};
-        std::vector<PredictionStats> results =
-            comparePredictors(sb, contenders);
+        std::vector<PredictionStats> results = replayBatched(
+            sb, {pa.predictorSpec(256), merged.predictorSpec(256),
+                 interferenceFreeSpec()});
 
         auto fmt_req = [](const RequiredSizeResult &r) {
             return r.achieved ? withCommas(r.required_entries)

@@ -1,6 +1,7 @@
 #include "bench_common.hh"
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -15,7 +16,6 @@
 #include "obs/progress.hh"
 #include "obs/run_report.hh"
 #include "obs/timeseries.hh"
-#include "predict/twolevel.hh"
 #include "sim/batched_replay.hh"
 #include "sim/bpred_sim.hh"
 #include "store/artifact_cache.hh"
@@ -45,6 +45,20 @@ std::vector<obs::JsonValue> phase_trace_events;
 /** Serializes phase_trace_events across concurrent sweep cells. */
 std::mutex phase_trace_mutex;
 
+/** A --<name>=<n> count: at least 1 and no wider than unsigned. */
+unsigned
+countOption(const CliOptions &cli, const std::string &name,
+            std::uint64_t def)
+{
+    std::uint64_t value = cli.getUint(name, def);
+    if (value == 0)
+        bwsa_fatal("--", name, " must be >= 1");
+    if (value > UINT_MAX)
+        bwsa_fatal("--", name, " must be <= ", UINT_MAX, ", got ",
+                   value);
+    return static_cast<unsigned>(value);
+}
+
 } // namespace
 
 const std::vector<BenchFlagSpec> &
@@ -60,14 +74,13 @@ commonBenchFlags()
         {"shards", "trace segments per profiling pass (default 1)"},
         {"csv", "also write the table as CSV to this path"},
         {"threshold", "conflict-edge threshold (default 100)"},
-        {"json", "write a machine-readable run report (v3 schema)"},
+        {"json", "write a machine-readable run report (v4 schema)"},
         {"trace", "write a Chrome trace_event JSON of the spans"},
         {"progress", "heartbeat line on stderr every N seconds"},
         {"timeseries", "sample temporal signals into the report"},
         {"interval",
          "time-series window width in instructions (default 65536)"},
         {"interference", "attach the BHT interference probe"},
-        {"replay", "sweep replay engine: 'batched' or 'fanout'"},
         {"branch-telemetry",
          "per-branch telemetry section (implies --interference)"},
         {"top-branches", "rows per top-N branch table (default 8)"},
@@ -160,14 +173,9 @@ parseBenchOptions(int &argc, char **argv,
     BenchOptions options;
     options.scale = cli.getDouble("scale", 1.0);
     options.threshold = cli.getUint("threshold", 100);
-    options.threads = static_cast<unsigned>(
-        cli.getUint("threads", exec::ThreadPool::hardwareThreads()));
-    if (options.threads == 0)
-        bwsa_fatal("--threads must be >= 1");
-    options.shards =
-        static_cast<unsigned>(cli.getUint("shards", 1));
-    if (options.shards == 0)
-        bwsa_fatal("--shards must be >= 1");
+    options.threads = countOption(cli, "threads",
+                                  exec::ThreadPool::hardwareThreads());
+    options.shards = countOption(cli, "shards", 1);
     options.csv_path = cli.getRequiredString("csv", "");
     options.json_path = cli.getRequiredString("json", "");
     options.trace_path = cli.getRequiredString("trace", "");
@@ -198,14 +206,6 @@ parseBenchOptions(int &argc, char **argv,
         bwsa_fatal("--interval must be >= 1 instruction");
     options.interference = cli.isBare("interference") ||
                            cli.getString("interference", "") == "true";
-    std::string replay = cli.getRequiredString("replay", "batched");
-    if (replay == "batched")
-        options.batched = true;
-    else if (replay == "fanout")
-        options.batched = false;
-    else
-        bwsa_fatal("--replay must be 'batched' or 'fanout', got '",
-                   replay, "'");
     options.branch_telemetry =
         cli.isBare("branch-telemetry") ||
         cli.getString("branch-telemetry", "") == "true";
@@ -229,10 +229,6 @@ parseBenchOptions(int &argc, char **argv,
         bwsa_fatal("--phase-hysteresis must be >= 0");
     if (options.phase_min_windows == 0)
         bwsa_fatal("--phase-min-windows must be >= 1");
-    // Per-phase attribution (boundary-crossing probe snapshots) lives
-    // in the batched engine only; fanout cells have nowhere to bin.
-    if (options.phases && !options.batched)
-        bwsa_fatal("--phases requires --replay=batched");
 
     // --store-dir implies --cache; --no-cache wins over both.
     options.store_dir = cli.getRequiredString("store-dir", "");
@@ -690,58 +686,93 @@ branchMissPercent(const PredictionStats &stats, std::uint64_t pc)
     return it == stats.per_branch.end() ? 0.0 : it->second.percent();
 }
 
+/** Probe attribution of @p pc on @p lane; zero when unprobed. */
+BranchAliasing
+laneAliasing(const BatchedReplayer &replayer, std::size_t lane,
+             std::uint64_t pc)
+{
+    const BhtInterferenceProbe *probe = replayer.probe(lane);
+    if (!probe)
+        return {};
+    const auto &map = probe->branchAliasing();
+    auto it = map.find(pc);
+    return it == map.end() ? BranchAliasing{} : it->second;
+}
+
+/**
+ * One sweep cell's predictor replay: one lane per spec over a single
+ * decode of @p source.  With @p probe the baseline (lane 0) and the
+ * like-sized allocated PAg (@p alloc_lane) carry the BHT interference
+ * probe -- the pair whose destructive counts the allocation claim is
+ * about -- and both probe reports land in the run report's
+ * "interference" section under @p scope.  With `--timeseries` every
+ * lane publishes its windowed miss rate under @p scope too.
+ *
+ * @return every lane's statistics, in spec order
+ */
+std::vector<PredictionStats>
+replayCell(BatchedReplayer &replayer, const TraceSource &source,
+           const std::vector<PredictorSpec> &specs,
+           std::size_t alloc_lane, bool probe, const std::string &scope,
+           const BenchOptions &options)
+{
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        BatchedLaneOptions lane_options;
+        if (options.timeseries)
+            lane_options.series_scope = scope;
+        lane_options.probe = probe && (i == 0 || i == alloc_lane);
+        replayer.addLane(specs[i], lane_options);
+    }
+    replayer.replay(source);
+
+    auto &report = obs::RunReport::global();
+    if (report.active() && replayer.probe(0) &&
+        replayer.probe(alloc_lane))
+        for (std::size_t lane : {std::size_t(0), alloc_lane})
+            report.addInterference(replayer.probe(lane)->reportJson(
+                scope, replayer.laneName(lane)));
+    return replayer.allStats();
+}
+
 /**
  * Assemble one cell's per-branch telemetry: the run report "branches"
- * scope entry (every branch, pc-ascending, with per-predictor
- * misprediction counts, probe victim/aggressor attribution and the
- * profiled predictability/lifetime fields) plus the cell's top-N
- * hot / hard / victim table rows.  Everything ranks on exact counts,
- * so the output is deterministic for any thread/shard count.
+ * scope entry (every branch, pc-ascending, with per-lane misprediction
+ * counts, probe victim/aggressor attribution of lane 0 and
+ * @p alloc_lane, and the profiled predictability/lifetime fields)
+ * plus the cell's top-N hot / hard / victim table rows; the hard
+ * table's ideal column is the last lane.  Everything ranks on exact
+ * counts, so the output is deterministic for any thread/shard count.
  */
-/** One probed predictor as the telemetry assembly sees it. */
-struct ProbedPredictor
-{
-    const BhtInterferenceProbe *probe = nullptr;
-    std::string name;
-};
-
 void
 collectCellTelemetry(const std::string &scope,
                      const obs::BranchTelemetryMap &telemetry,
-                     const std::vector<PredictionStats> &results,
-                     const ProbedPredictor &base_pag,
-                     const ProbedPredictor &alloc_pag,
-                     std::size_t top_n, CellTelemetry &out,
-                     std::size_t alloc_lane = 3,
-                     std::size_t ideal_lane = 4)
+                     const BatchedReplayer &replayer,
+                     std::size_t alloc_lane, std::size_t top_n,
+                     CellTelemetry &out)
 {
+    const PredictionStats &base = replayer.stats(0);
+    const PredictionStats &alloc = replayer.stats(alloc_lane);
+    const PredictionStats &ideal =
+        replayer.stats(replayer.laneCount() - 1);
+    const std::size_t probed[] = {0, alloc_lane};
+
     // Universe: every branch the simulator saw plus every profiled
     // branch.  Profiling replays the same trace, so the profiled set
     // is a subset of the simulated one in practice; the union keeps
     // the section exhaustive regardless.
     std::vector<std::uint64_t> pcs;
-    pcs.reserve(results[0].per_branch.size());
-    for (const auto &[pc, stat] : results[0].per_branch) {
+    pcs.reserve(base.per_branch.size());
+    for (const auto &[pc, stat] : base.per_branch) {
         (void)stat;
         pcs.push_back(pc);
     }
     for (std::uint64_t pc : telemetry.pcs())
-        if (!results[0].per_branch.count(pc))
+        if (!base.per_branch.count(pc))
             pcs.push_back(pc);
     std::sort(pcs.begin(), pcs.end());
 
     const std::uint64_t span =
         telemetry.lastTimestamp() - telemetry.firstTimestamp();
-
-    auto aliasingOf = [](const ProbedPredictor &pag,
-                         std::uint64_t pc) {
-        BranchAliasing none;
-        if (!pag.probe)
-            return none;
-        const auto &map = pag.probe->branchAliasing();
-        auto it = map.find(pc);
-        return it == map.end() ? none : it->second;
-    };
 
     obs::JsonValue entry;
     entry["scope"] = scope;
@@ -750,37 +781,39 @@ collectCellTelemetry(const std::string &scope,
         static_cast<std::uint64_t>(telemetry.size());
 
     obs::JsonValue &totals = entry["totals"];
-    totals["sim_branches"] = results[0].mispredicts.total();
+    totals["sim_branches"] = base.mispredicts.total();
     totals["first_timestamp"] = telemetry.firstTimestamp();
     totals["last_timestamp"] = telemetry.lastTimestamp();
     obs::JsonValue &total_miss = totals["mispredicts"];
-    for (const PredictionStats &r : results)
-        total_miss[r.predictor_name] = r.mispredicts.events();
+    for (std::size_t l = 0; l < replayer.laneCount(); ++l)
+        total_miss[replayer.laneName(l)] =
+            replayer.stats(l).mispredicts.events();
     obs::JsonValue &total_dest = totals["destructive"];
-    for (const ProbedPredictor *pag : {&base_pag, &alloc_pag})
-        if (pag->probe)
-            total_dest[pag->name] =
-                pag->probe->counters().destructive;
+    for (std::size_t l : probed)
+        if (const BhtInterferenceProbe *p = replayer.probe(l))
+            total_dest[replayer.laneName(l)] =
+                p->counters().destructive;
 
     obs::JsonValue &branches = entry["branches"];
     branches = obs::JsonValue::array();
     for (std::uint64_t pc : pcs) {
         obs::JsonValue b;
         b["pc"] = pc;
-        b["sim_executed"] = branchExecuted(results[0], pc);
+        b["sim_executed"] = branchExecuted(base, pc);
         obs::JsonValue &miss = b["mispredicts"];
-        for (const PredictionStats &r : results) {
+        for (std::size_t l = 0; l < replayer.laneCount(); ++l) {
+            const PredictionStats &r = replayer.stats(l);
             auto it = r.per_branch.find(pc);
             miss[r.predictor_name] =
                 it == r.per_branch.end() ? std::uint64_t(0)
                                          : it->second.events();
         }
         obs::JsonValue aliasing;
-        for (const ProbedPredictor *pag : {&base_pag, &alloc_pag}) {
-            BranchAliasing a = aliasingOf(*pag, pc);
+        for (std::size_t l : probed) {
+            BranchAliasing a = laneAliasing(replayer, l, pc);
             if (a.victim == 0 && a.aggressor == 0)
                 continue;
-            obs::JsonValue &slot = aliasing[pag->name];
+            obs::JsonValue &slot = aliasing[replayer.laneName(l)];
             slot["victim"] = a.victim;
             slot["aggressor"] = a.aggressor;
         }
@@ -815,8 +848,8 @@ collectCellTelemetry(const std::string &scope,
     std::vector<std::uint64_t> by_hot = pcs;
     std::sort(by_hot.begin(), by_hot.end(),
               [&](std::uint64_t a, std::uint64_t b) {
-                  std::uint64_t ea = branchExecuted(results[0], a);
-                  std::uint64_t eb = branchExecuted(results[0], b);
+                  std::uint64_t ea = branchExecuted(base, a);
+                  std::uint64_t eb = branchExecuted(base, b);
                   if (ea != eb)
                       return ea > eb;
                   return a < b;
@@ -827,11 +860,11 @@ collectCellTelemetry(const std::string &scope,
         const obs::BranchTelemetry *t = telemetry.find(pc);
         out.hot.push_back(
             {scope + " " + pcHex(pc),
-             withCommas(branchExecuted(results[0], pc)),
+             withCommas(branchExecuted(base, pc)),
              t ? fixedString(100.0 * t->takenRate(), 1) : "-",
              t ? fixedString(100.0 * t->transitionRate(), 1) : "-",
              t ? fixedString(t->entropyBits(), 3) : "-",
-             fixedString(branchMissPercent(results[0], pc), 3)});
+             fixedString(branchMissPercent(base, pc), 3)});
     }
 
     // Hard: worst baseline misprediction rate among branches with a
@@ -839,16 +872,16 @@ collectCellTelemetry(const std::string &scope,
     // whose rate is 0%-or-100% out of the ranking).
     std::vector<std::uint64_t> by_hard;
     for (std::uint64_t pc : pcs)
-        if (branchExecuted(results[0], pc) >= 32)
+        if (branchExecuted(base, pc) >= 32)
             by_hard.push_back(pc);
     std::sort(by_hard.begin(), by_hard.end(),
               [&](std::uint64_t a, std::uint64_t b) {
-                  double ma = branchMissPercent(results[0], a);
-                  double mb = branchMissPercent(results[0], b);
+                  double ma = branchMissPercent(base, a);
+                  double mb = branchMissPercent(base, b);
                   if (ma != mb)
                       return ma > mb;
-                  std::uint64_t ea = branchExecuted(results[0], a);
-                  std::uint64_t eb = branchExecuted(results[0], b);
+                  std::uint64_t ea = branchExecuted(base, a);
+                  std::uint64_t eb = branchExecuted(base, b);
                   if (ea != eb)
                       return ea > eb;
                   return a < b;
@@ -859,29 +892,26 @@ collectCellTelemetry(const std::string &scope,
         const obs::BranchTelemetry *t = telemetry.find(pc);
         out.hard.push_back(
             {scope + " " + pcHex(pc),
-             withCommas(branchExecuted(results[0], pc)),
-             fixedString(branchMissPercent(results[0], pc), 3),
-             fixedString(branchMissPercent(results[alloc_lane], pc),
-                         3),
-             fixedString(branchMissPercent(results[ideal_lane], pc),
-                         3),
+             withCommas(branchExecuted(base, pc)),
+             fixedString(branchMissPercent(base, pc), 3),
+             fixedString(branchMissPercent(alloc, pc), 3),
+             fixedString(branchMissPercent(ideal, pc), 3),
              t ? fixedString(t->entropyBits(), 3) : "-"});
     }
 
     // Victims: the branches the baseline's destructive aliasing hit
     // hardest, next to their fate under allocation.
-    if (base_pag.probe) {
-        for (const auto &[pc, a] : base_pag.probe->topVictims(top_n)) {
+    if (const BhtInterferenceProbe *base_probe = replayer.probe(0)) {
+        for (const auto &[pc, a] : base_probe->topVictims(top_n)) {
             if (a.victim == 0)
                 continue;
-            BranchAliasing alloc = aliasingOf(alloc_pag, pc);
             out.victims.push_back(
                 {scope + " " + pcHex(pc), withCommas(a.victim),
-                 withCommas(a.aggressor), withCommas(alloc.victim),
-                 fixedString(branchMissPercent(results[0], pc), 3),
-                 fixedString(branchMissPercent(results[alloc_lane],
-                                               pc),
-                             3)});
+                 withCommas(a.aggressor),
+                 withCommas(laneAliasing(replayer, alloc_lane, pc)
+                                .victim),
+                 fixedString(branchMissPercent(base, pc), 3),
+                 fixedString(branchMissPercent(alloc, pc), 3)});
         }
     }
 }
@@ -899,9 +929,7 @@ collectCellTelemetry(const std::string &scope,
 void
 collectCellPhases(const std::string &scope,
                   const obs::PhaseTimeline &timeline,
-                  const BatchedReplayer &replayer,
-                  const std::vector<PredictionStats> &results,
-                  CellPhases &out)
+                  const BatchedReplayer &replayer, CellPhases &out)
 {
     const std::vector<obs::Phase> &phases = timeline.phases;
     const std::vector<PcSet> &pcs = replayer.phasePcs();
@@ -953,14 +981,15 @@ collectCellPhases(const std::string &scope,
     config["min_windows"] = timeline.config.min_windows;
 
     obs::JsonValue &totals = entry["totals"];
-    totals["executed"] = results[0].mispredicts.total();
+    totals["executed"] = replayer.stats(0).mispredicts.total();
     totals["phases"] = static_cast<std::uint64_t>(n);
     totals["windows"] = total_windows;
     totals["distinct_pcs"] =
         static_cast<std::uint64_t>(whole.size());
     obs::JsonValue &total_miss = totals["mispredicts"];
-    for (const PredictionStats &r : results)
-        total_miss[r.predictor_name] = r.mispredicts.events();
+    for (std::size_t l = 0; l < replayer.laneCount(); ++l)
+        total_miss[replayer.laneName(l)] =
+            replayer.stats(l).mispredicts.events();
     obs::JsonValue &total_dest = totals["destructive"];
     total_dest = obs::JsonValue::object();
     for (std::size_t l = 0; l < replayer.laneCount(); ++l)
@@ -1043,9 +1072,10 @@ collectCellPhases(const std::string &scope,
     out.rows.push_back(
         {scope, "whole", "0", withCommas(total_windows),
          withCommas(whole.size()),
-         fixedString(results[0].mispredictPercent(), 3),
-         has_alloc ? fixedString(results[3].mispredictPercent(), 3)
-                   : "-",
+         fixedString(replayer.stats(0).mispredictPercent(), 3),
+         has_alloc
+             ? fixedString(replayer.stats(3).mispredictPercent(), 3)
+             : "-",
          base_probe ? withCommas(base_probe->counters().destructive)
                     : "-",
          alloc_probe ? withCommas(alloc_probe->counters().destructive)
@@ -1177,85 +1207,28 @@ buildAllocationTables(const BenchOptions &options, bool classification)
                 paperBaselineSpec(), pipeline.predictorSpec(16),
                 pipeline.predictorSpec(128),
                 pipeline.predictorSpec(1024), interferenceFreeSpec()};
-            const std::string series_scope =
-                options.timeseries ? run.display : std::string();
-
-            // The probe rides the baseline and the like-sized
-            // allocated PAg (contenders 0 and 3): the pair whose
-            // destructive counts the allocation claim is about.
-            std::vector<PredictionStats> results;
-            ProbedPredictor base_pag, alloc_pag;
-
-            // Objects that must outlive the probe pointers below.
-            std::vector<PredictorPtr> fanout_predictors;
             BatchedReplayer replayer(options.branch_telemetry);
+            if (options.phases)
+                replayer.setPhaseTimeline(&timeline);
+            std::vector<PredictionStats> results =
+                replayCell(replayer, source, specs, 3,
+                           options.interference, run.display, options);
 
-            if (options.batched) {
-                for (std::size_t i = 0; i < specs.size(); ++i) {
-                    BatchedLaneOptions lane_options;
-                    lane_options.series_scope = series_scope;
-                    lane_options.probe =
-                        options.interference && (i == 0 || i == 3);
-                    replayer.addLane(specs[i], lane_options);
-                }
-                if (options.phases)
-                    replayer.setPhaseTimeline(&timeline);
-                replayer.replay(source);
-                results = replayer.allStats();
-                base_pag = {replayer.probe(0), replayer.laneName(0)};
-                alloc_pag = {replayer.probe(3), replayer.laneName(3)};
-            } else {
-                std::vector<Predictor *> contenders;
-                for (const PredictorSpec &spec : specs) {
-                    fanout_predictors.push_back(makePredictor(spec));
-                    contenders.push_back(
-                        fanout_predictors.back().get());
-                }
-                if (options.interference) {
-                    for (std::size_t i : {std::size_t(0),
-                                          std::size_t(3)})
-                        if (auto *pag = dynamic_cast<PAgPredictor *>(
-                                contenders[i]))
-                            pag->enableInterferenceProbe();
-                }
-                results = comparePredictors(source, contenders,
-                                            series_scope,
-                                            options.branch_telemetry);
-                auto probed = [&](std::size_t i) {
-                    ProbedPredictor p;
-                    p.name = contenders[i]->name();
-                    if (auto *pag = dynamic_cast<PAgPredictor *>(
-                            contenders[i]))
-                        p.probe = pag->interferenceProbe();
-                    return p;
-                };
-                base_pag = probed(0);
-                alloc_pag = probed(3);
-            }
-
-            if (base_pag.probe && alloc_pag.probe) {
+            if (options.interference) {
                 CellAliasing &slot = aliasing[cell.index];
                 slot.valid = true;
-                slot.base = base_pag.probe->counters();
-                slot.allocated = alloc_pag.probe->counters();
-                auto &report = obs::RunReport::global();
-                if (report.active()) {
-                    report.addInterference(base_pag.probe->reportJson(
-                        run.display, base_pag.name));
-                    report.addInterference(alloc_pag.probe->reportJson(
-                        run.display, alloc_pag.name));
-                }
+                slot.base = replayer.probe(0)->counters();
+                slot.allocated = replayer.probe(3)->counters();
             }
 
             if (options.branch_telemetry)
-                collectCellTelemetry(run.display, cell_map, results,
-                                     base_pag, alloc_pag,
+                collectCellTelemetry(run.display, cell_map, replayer, 3,
                                      options.top_branches,
                                      telemetry_rows[cell.index]);
 
             if (options.phases)
                 collectCellPhases(run.display, timeline, replayer,
-                                  results, phase_cells[cell.index]);
+                                  phase_cells[cell.index]);
 
             double base_rate = results[0].mispredictPercent();
             double alloc1024_rate = results[3].mispredictPercent();
@@ -1457,59 +1430,9 @@ buildGraphAllocTables(const BenchOptions &options,
                                    std::to_string(bht_entries)),
                 pipeline.predictorSpec(bht_entries),
                 interferenceFreeSpec()};
-            const std::string series_scope =
-                options.timeseries ? run.display : std::string();
-
-            std::vector<PredictionStats> results;
-            ProbedPredictor base_pag, alloc_pag;
-            std::vector<PredictorPtr> fanout_predictors;
             BatchedReplayer replayer(true);
-
-            if (options.batched) {
-                for (std::size_t i = 0; i < specs.size(); ++i) {
-                    BatchedLaneOptions lane_options;
-                    lane_options.series_scope = series_scope;
-                    lane_options.probe = i < 2;
-                    replayer.addLane(specs[i], lane_options);
-                }
-                replayer.replay(source);
-                results = replayer.allStats();
-                base_pag = {replayer.probe(0), replayer.laneName(0)};
-                alloc_pag = {replayer.probe(1), replayer.laneName(1)};
-            } else {
-                std::vector<Predictor *> contenders;
-                for (const PredictorSpec &spec : specs) {
-                    fanout_predictors.push_back(makePredictor(spec));
-                    contenders.push_back(
-                        fanout_predictors.back().get());
-                }
-                for (std::size_t i : {std::size_t(0), std::size_t(1)})
-                    if (auto *pag = dynamic_cast<PAgPredictor *>(
-                            contenders[i]))
-                        pag->enableInterferenceProbe();
-                results = comparePredictors(source, contenders,
-                                            series_scope, true);
-                auto probed = [&](std::size_t i) {
-                    ProbedPredictor p;
-                    p.name = contenders[i]->name();
-                    if (auto *pag = dynamic_cast<PAgPredictor *>(
-                            contenders[i]))
-                        p.probe = pag->interferenceProbe();
-                    return p;
-                };
-                base_pag = probed(0);
-                alloc_pag = probed(1);
-            }
-
-            if (base_pag.probe && alloc_pag.probe) {
-                auto &report = obs::RunReport::global();
-                if (report.active()) {
-                    report.addInterference(base_pag.probe->reportJson(
-                        run.display, base_pag.name));
-                    report.addInterference(alloc_pag.probe->reportJson(
-                        run.display, alloc_pag.name));
-                }
-            }
+            std::vector<PredictionStats> results = replayCell(
+                replayer, source, specs, 1, true, run.display, options);
 
             // Fold every profiled branch into its predictability bin;
             // the trailing "all" row is the merge of every bin, which
@@ -1517,14 +1440,6 @@ buildGraphAllocTables(const BenchOptions &options,
             obs::PredictabilityBinner binner;
             std::vector<obs::PredictabilityBinStats> bins(
                 binner.binCount());
-            auto victimsOf = [](const ProbedPredictor &pag,
-                                std::uint64_t pc) -> std::uint64_t {
-                if (!pag.probe)
-                    return 0;
-                const auto &map = pag.probe->branchAliasing();
-                auto it = map.find(pc);
-                return it == map.end() ? 0 : it->second.victim;
-            };
             for (std::uint64_t pc : cell_map.pcs()) {
                 const obs::BranchTelemetry *t = cell_map.find(pc);
                 obs::PredictabilityBinStats &bin =
@@ -1538,8 +1453,9 @@ buildGraphAllocTables(const BenchOptions &options,
                 auto alloc_it = results[1].per_branch.find(pc);
                 if (alloc_it != results[1].per_branch.end())
                     bin.alloc_miss += alloc_it->second.events();
-                bin.base_victims += victimsOf(base_pag, pc);
-                bin.alloc_victims += victimsOf(alloc_pag, pc);
+                bin.base_victims += laneAliasing(replayer, 0, pc).victim;
+                bin.alloc_victims +=
+                    laneAliasing(replayer, 1, pc).victim;
             }
 
             CellGraphAlloc &slot = cells[cell.index];
@@ -1554,10 +1470,9 @@ buildGraphAllocTables(const BenchOptions &options,
                 {run.display, bins.size(), "all", all});
 
             if (options.branch_telemetry)
-                collectCellTelemetry(run.display, cell_map, results,
-                                     base_pag, alloc_pag,
+                collectCellTelemetry(run.display, cell_map, replayer, 1,
                                      options.top_branches,
-                                     slot.telemetry, 1, 2);
+                                     slot.telemetry);
 
             std::cout << "." << std::flush; // progress
         });

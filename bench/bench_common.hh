@@ -14,7 +14,7 @@
  *   --csv=<path>      also write the table as CSV
  *   --threshold=<n>   conflict-edge threshold (default 100)
  *   --json=<path>     write a machine-readable run report (schema
- *                     bwsa.run_report.v1) when the run finishes
+ *                     bwsa.run_report.v4) when the run finishes
  *   --trace=<path>    write a Chrome trace_event JSON of the phase
  *                     spans (open in chrome://tracing or Perfetto);
  *                     with --timeseries the series render as counter
@@ -30,16 +30,9 @@
  *   --interval=<n>    time-series window width in retired
  *                     instructions (default 65536); windows merge
  *                     pairwise when a series outgrows its budget
- *   --replay=<mode>   how sweep cells replay their predictor set:
- *                     "batched" (default) steps all configurations
- *                     through the packed BatchedReplayer in one trace
- *                     decode; "fanout" drives one PredictionSim per
- *                     predictor through comparePredictors(), the
- *                     reference implementation.  Both modes emit
- *                     byte-identical tables, interference sections
- *                     and per-branch telemetry
- *   --interference    attach the BHT interference probe to every PAg
- *                     under test: classifies each prediction under
+ *   --interference    attach the BHT interference probe to the
+ *                     baseline PAg and the like-sized allocated PAg:
+ *                     classifies each prediction under
  *                     entry sharing as agree/neutral/constructive/
  *                     destructive, prints the destructive-aliasing
  *                     table and fills the report's "interference"
@@ -56,7 +49,7 @@
  *                     signal) and attribute results per phase: the
  *                     report's "execution_phases" section, the
  *                     whole-trace vs per-phase table, and phase spans
- *                     in the Chrome trace.  Needs --replay=batched
+ *                     in the Chrome trace
  *   --phase-threshold=<x>   similarity below this opens a phase
  *                     boundary (default 0.4)
  *   --phase-hysteresis=<x>  re-arm margin above the threshold before
@@ -137,7 +130,6 @@ struct BenchOptions
     bool timeseries = false;   ///< --timeseries: temporal sampling
     std::uint64_t interval = 65536; ///< --interval: window width
     bool interference = false; ///< --interference: aliasing probe
-    bool batched = true;       ///< --replay=batched (vs fanout)
     bool branch_telemetry = false; ///< --branch-telemetry: per-branch
     std::size_t top_branches = 8;  ///< --top-branches: table rows
     bool phases = false;       ///< --phases: per-phase attribution
@@ -303,13 +295,14 @@ TextTable buildWorkingSetTable(const BenchOptions &options);
  * `options.threads` workers; the table contents are identical for
  * every worker count.
  *
- * With `--interference` every PAg additionally runs under the BHT
- * interference probe; the per-benchmark destructive-aliasing results
- * land in the `aliasing` table (baseline vs allocated counts and the
- * percentage eliminated) and each probe's full report -- counters plus
- * conflict top-N -- is appended to the run report's "interference"
- * section.  With `--timeseries` every predictor publishes its
- * windowed misprediction rate under the benchmark's scope.
+ * With `--interference` the baseline and the allocated 1024-entry PAg
+ * additionally run under the BHT interference probe; the
+ * per-benchmark destructive-aliasing results land in the `aliasing`
+ * table (baseline vs allocated counts and the percentage eliminated)
+ * and each probe's full report -- counters plus conflict top-N -- is
+ * appended to the run report's "interference" section.  With
+ * `--timeseries` every predictor publishes its windowed misprediction
+ * rate under the benchmark's scope.
  *
  * With `--branch-telemetry` every cell additionally collects one
  * per-branch telemetry scope (obs::BranchTelemetryMap wired into the

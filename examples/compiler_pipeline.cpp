@@ -23,7 +23,7 @@
 
 #include "core/pipeline.hh"
 #include "report/table.hh"
-#include "sim/bpred_sim.hh"
+#include "sim/batched_replay.hh"
 #include "util/cli.hh"
 #include "util/logging.hh"
 #include "util/strutil.hh"
@@ -140,12 +140,9 @@ main(int argc, char **argv)
     Workload check = makeWorkload(
         preset, presetInputs(preset).back().label, scale);
     WorkloadTraceSource source = check.source();
-    PredictorPtr base = makePredictor(paperBaselineSpec());
-    PredictorPtr allocated =
-        makePredictor(allocatedSpec(alloc.assignment, entries));
-    std::vector<Predictor *> contenders{base.get(), allocated.get()};
-    std::vector<PredictionStats> results =
-        comparePredictors(source, contenders);
+    std::vector<PredictionStats> results = replayBatched(
+        source, {paperBaselineSpec(),
+                 allocatedSpec(alloc.assignment, entries)});
     std::printf("\nvalidation on %s/%s: baseline PAg-1024 misses "
                 "%s, allocated PAg-%llu misses %s\n",
                 preset.c_str(),

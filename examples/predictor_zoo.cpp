@@ -3,8 +3,9 @@
  * Head-to-head comparison of every predictor family in the library
  * over one benchmark's trace -- the quickest way to see where the
  * paper's PAg baseline sits relative to its contemporaries (bimodal,
- * GAg, gshare, PAs, tournament, static schemes) and how far branch
- * allocation moves it.
+ * GAg, gshare, PAs, tournament, always-taken) and how far branch
+ * allocation, alone and with static prediction of biased branches,
+ * moves it.
  *
  * Usage:
  *   ./predictor_zoo [--preset=li] [--scale=0.5]
@@ -18,9 +19,8 @@
 #include <cstdio>
 
 #include "core/pipeline.hh"
-#include "predict/static_pred.hh"
 #include "report/table.hh"
-#include "sim/bpred_sim.hh"
+#include "sim/batched_replay.hh"
 #include "util/cli.hh"
 #include "util/logging.hh"
 #include "util/strutil.hh"
@@ -47,8 +47,8 @@ main(int argc, char **argv)
     Workload w = makeWorkload(preset, "", scale);
     WorkloadTraceSource source = w.source();
 
-    // Profile once for the allocated PAg and the profile-static
-    // scheme.
+    // Profile once for the allocated PAg and the static-filtered PAg
+    // (biased branches predicted in their profiled direction).
     PipelineConfig config;
     config.allocation.use_classification = true;
     AllocationPipeline pipeline(config);
@@ -60,34 +60,21 @@ main(int argc, char **argv)
         session.finish();
     }
 
-    std::unordered_map<BranchPc, bool> majorities;
-    for (const ConflictNode &node : pipeline.graph().nodes())
-        majorities[node.pc] = node.takenRate() >= 0.5;
-
-    std::vector<PredictorPtr> predictors;
-    predictors.push_back(
-        std::make_unique<AlwaysTakenPredictor>());
-    predictors.push_back(std::make_unique<ProfileStaticPredictor>(
-        std::move(majorities)));
+    std::vector<PredictorSpec> specs;
     for (PredictorKind kind :
-         {PredictorKind::Bimodal, PredictorKind::GAg,
-          PredictorKind::Gshare, PredictorKind::PAs,
+         {PredictorKind::AlwaysTaken, PredictorKind::Bimodal,
+          PredictorKind::GAg, PredictorKind::Gshare, PredictorKind::PAs,
           PredictorKind::PAgModulo, PredictorKind::Tournament}) {
         PredictorSpec spec;
         spec.kind = kind;
-        predictors.push_back(makePredictor(spec));
+        specs.push_back(spec);
     }
-    predictors.push_back(makePredictor(pipeline.predictorSpec(1024)));
-    predictors.push_back(makePredictor(interferenceFreeSpec()));
+    specs.push_back(pipeline.predictorSpec(1024));
+    specs.push_back(pipeline.staticFilterSpec(1024));
+    specs.push_back(interferenceFreeSpec());
     if (!extra.empty())
-        predictors.push_back(
-            makePredictor(parsePredictorSpec(extra)));
-
-    std::vector<Predictor *> raw;
-    for (const PredictorPtr &p : predictors)
-        raw.push_back(p.get());
-    std::vector<PredictionStats> results =
-        comparePredictors(source, raw);
+        specs.push_back(parsePredictorSpec(extra));
+    std::vector<PredictionStats> results = replayBatched(source, specs);
 
     TextTable table({"predictor", "mispredict %", "accuracy %"});
     for (const PredictionStats &r : results)

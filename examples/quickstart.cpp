@@ -23,7 +23,7 @@
 #include "obs/run_report.hh"
 #include "predict/factory.hh"
 #include "report/table.hh"
-#include "sim/bpred_sim.hh"
+#include "sim/batched_replay.hh"
 #include "util/cli.hh"
 #include "util/logging.hh"
 #include "util/strutil.hh"
@@ -150,18 +150,10 @@ main(int argc, char **argv)
                         req.baseline_conflict));
 
     // --- 5. Head-to-head predictor comparison on the same trace.
-    PredictorPtr baseline = makePredictor(paperBaselineSpec());
-    PredictorPtr ideal = makePredictor(interferenceFreeSpec());
-    PredictorPtr allocated =
-        makePredictor(pipeline.predictorSpec(1024));
-    PredictorPtr small_alloc =
-        makePredictor(pipeline.predictorSpec(16));
-
-    std::vector<Predictor *> contenders{baseline.get(), ideal.get(),
-                                        allocated.get(),
-                                        small_alloc.get()};
-    std::vector<PredictionStats> results =
-        comparePredictors(source, contenders);
+    std::vector<PredictionStats> results = replayBatched(
+        source, {paperBaselineSpec(), interferenceFreeSpec(),
+                 pipeline.predictorSpec(1024),
+                 pipeline.predictorSpec(16)});
 
     TextTable table({"predictor", "mispredict %", "accuracy %"});
     for (const PredictionStats &r : results)

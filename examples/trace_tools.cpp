@@ -27,7 +27,7 @@
 
 #include "core/pipeline.hh"
 #include "core/working_set.hh"
-#include "sim/bpred_sim.hh"
+#include "sim/batched_replay.hh"
 #include "store/block_trace.hh"
 #include "trace/trace_io.hh"
 #include "util/cli.hh"
@@ -136,14 +136,9 @@ cmdSimulate(const CliOptions &cli)
         session.addInterleave(*reader);
     session.finish();
 
-    PredictorPtr base = makePredictor(paperBaselineSpec());
-    PredictorPtr allocated =
-        makePredictor(pipeline.predictorSpec(entries));
-    PredictorPtr ideal = makePredictor(interferenceFreeSpec());
-    std::vector<Predictor *> contenders{base.get(), allocated.get(),
-                                        ideal.get()};
-    std::vector<PredictionStats> results =
-        comparePredictors(*reader, contenders);
+    std::vector<PredictionStats> results = replayBatched(
+        *reader, {paperBaselineSpec(), pipeline.predictorSpec(entries),
+                  interferenceFreeSpec()});
     for (const PredictionStats &r : results)
         std::printf("%-42s miss %s\n", r.predictor_name.c_str(),
                     percentString(r.mispredicts.ratio(), 3).c_str());

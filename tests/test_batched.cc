@@ -11,19 +11,25 @@
  *    victim/aggressor attribution;
  *  - composite / wide-history specs run through the generic fallback
  *    lane and still match the reference;
+ *  - the Figure 3 sweep cell's lane set over a profiled preset
+ *    trace matches the reference end to end: statistics, per-branch
+ *    maps, both probes and every windowed miss-rate series;
  *  - replay() maintains the sim.runs / sim.predictor_runs counter
  *    contract: one trace replay, laneCount() predictor replays.
  */
 
 #include <gtest/gtest.h>
 
+#include "core/pipeline.hh"
 #include "obs/metrics.hh"
+#include "obs/timeseries.hh"
 #include "predict/factory.hh"
 #include "predict/twolevel.hh"
 #include "sim/batched_replay.hh"
 #include "sim/bpred_sim.hh"
 #include "trace/trace.hh"
 #include "util/random.hh"
+#include "workload/presets.hh"
 
 using namespace bwsa;
 
@@ -156,6 +162,38 @@ expectSameStats(const PredictionStats &batched,
     }
 }
 
+void
+expectSameProbe(const BhtInterferenceProbe &got,
+                const BhtInterferenceProbe &want)
+{
+    EXPECT_EQ(got.counters().predictions, want.counters().predictions);
+    EXPECT_EQ(got.counters().agree, want.counters().agree);
+    EXPECT_EQ(got.counters().neutral, want.counters().neutral);
+    EXPECT_EQ(got.counters().constructive,
+              want.counters().constructive);
+    EXPECT_EQ(got.counters().destructive, want.counters().destructive);
+    EXPECT_EQ(got.shadowedBranches(), want.shadowedBranches());
+
+    const auto &want_branches = want.branchAliasing();
+    const auto &got_branches = got.branchAliasing();
+    ASSERT_EQ(got_branches.size(), want_branches.size());
+    for (const auto &[pc, aliasing] : want_branches) {
+        auto it = got_branches.find(pc);
+        ASSERT_NE(it, got_branches.end());
+        EXPECT_EQ(it->second.victim, aliasing.victim);
+        EXPECT_EQ(it->second.aggressor, aliasing.aggressor);
+    }
+
+    auto want_victims = want.topVictims(8);
+    auto got_victims = got.topVictims(8);
+    ASSERT_EQ(got_victims.size(), want_victims.size());
+    for (std::size_t i = 0; i < want_victims.size(); ++i) {
+        EXPECT_EQ(got_victims[i].first, want_victims[i].first);
+        EXPECT_EQ(got_victims[i].second.victim,
+                  want_victims[i].second.victim);
+    }
+}
+
 } // namespace
 
 TEST(BatchedReplay, ZooMatchesComparePredictors)
@@ -244,31 +282,96 @@ TEST(BatchedReplay, ProbeMatchesPredictorProbe)
     ASSERT_NE(got, nullptr);
 
     expectSameStats(replayer.stats(lane), reference);
-    EXPECT_EQ(got->counters().predictions,
-              want->counters().predictions);
-    EXPECT_EQ(got->counters().agree, want->counters().agree);
-    EXPECT_EQ(got->counters().neutral, want->counters().neutral);
-    EXPECT_EQ(got->counters().constructive,
-              want->counters().constructive);
-    EXPECT_EQ(got->counters().destructive,
-              want->counters().destructive);
-    EXPECT_EQ(got->shadowedBranches(), want->shadowedBranches());
+    expectSameProbe(*got, *want);
+}
 
-    const auto &want_branches = want->branchAliasing();
-    const auto &got_branches = got->branchAliasing();
-    ASSERT_EQ(got_branches.size(), want_branches.size());
-    for (const auto &[pc, aliasing] : want_branches) {
-        auto it = got_branches.find(pc);
-        ASSERT_NE(it, got_branches.end());
-        EXPECT_EQ(it->second.victim, aliasing.victim);
-        EXPECT_EQ(it->second.aggressor, aliasing.aggressor);
+TEST(BatchedReplay, Fig3LaneSetMatchesReferenceEndToEnd)
+{
+    // The Figure 3 sweep cell on a real preset trace: baseline,
+    // profiled alloc-16/128/1024 and ideal lanes, probes on the
+    // baseline and alloc-1024, per-branch maps and windowed miss-rate
+    // series all equal the reference engine's.
+    Workload workload = makeWorkload("m88ksim", "", 0.05);
+    MemoryTrace trace;
+    workload.source().replay(trace);
+    AllocationPipeline pipeline{PipelineConfig{}};
+    ProfileSession session(pipeline);
+    session.addStats(trace);
+    session.commit();
+    session.addInterleave(trace);
+    session.finish();
+
+    const std::vector<PredictorSpec> specs{
+        paperBaselineSpec(), pipeline.predictorSpec(16),
+        pipeline.predictorSpec(128), pipeline.predictorSpec(1024),
+        interferenceFreeSpec()};
+    const std::size_t probed[] = {0, 3};
+
+    auto &series = obs::TimeSeriesRegistry::global();
+    series.clear();
+    series.configureDefaults(4096);
+    series.setEnabled(true);
+
+    std::vector<PredictorPtr> owned;
+    std::vector<Predictor *> raw;
+    for (const PredictorSpec &spec : specs) {
+        owned.push_back(makePredictor(spec));
+        raw.push_back(owned.back().get());
     }
+    std::vector<PAgPredictor *> reference_pags;
+    for (std::size_t i : probed) {
+        reference_pags.push_back(dynamic_cast<PAgPredictor *>(raw[i]));
+        ASSERT_NE(reference_pags.back(), nullptr);
+        reference_pags.back()->enableInterferenceProbe();
+    }
+    std::vector<PredictionStats> reference =
+        comparePredictors(trace, raw, "reference", true);
 
-    auto want_victims = want->topVictims(8);
-    auto got_victims = got->topVictims(8);
-    ASSERT_EQ(got_victims.size(), want_victims.size());
-    for (std::size_t i = 0; i < want_victims.size(); ++i)
-        EXPECT_EQ(got_victims[i].first, want_victims[i].first);
+    BatchedReplayer replayer(true);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        BatchedLaneOptions options;
+        options.series_scope = "batched";
+        options.probe = (i == 0 || i == 3);
+        replayer.addLane(specs[i], options);
+    }
+    replayer.replay(trace);
+    series.setEnabled(false);
+
+    ASSERT_EQ(replayer.laneCount(), reference.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        expectSameStats(replayer.stats(i), reference[i]);
+        EXPECT_FALSE(replayer.stats(i).per_branch.empty());
+
+        const std::string tail =
+            "/" + reference[i].predictor_name + "/miss_rate";
+        const obs::TimeSeries *want = series.find("reference" + tail);
+        const obs::TimeSeries *got = series.find("batched" + tail);
+        ASSERT_NE(want, nullptr) << tail;
+        ASSERT_NE(got, nullptr) << tail;
+        EXPECT_GT(want->points().size(), 1u) << tail;
+        EXPECT_EQ(got->windowWidth(), want->windowWidth()) << tail;
+        EXPECT_EQ(got->totalWeight(), want->totalWeight()) << tail;
+        ASSERT_EQ(got->points().size(), want->points().size()) << tail;
+        for (std::size_t p = 0; p < want->points().size(); ++p) {
+            const obs::SeriesPoint &a = got->points()[p];
+            const obs::SeriesPoint &b = want->points()[p];
+            EXPECT_EQ(a.start, b.start) << tail << " window " << p;
+            EXPECT_EQ(a.weight, b.weight) << tail << " window " << p;
+            EXPECT_EQ(a.sum, b.sum) << tail << " window " << p;
+            EXPECT_EQ(a.min, b.min) << tail << " window " << p;
+            EXPECT_EQ(a.max, b.max) << tail << " window " << p;
+        }
+    }
+    series.clear();
+
+    for (std::size_t k = 0; k < 2; ++k) {
+        const BhtInterferenceProbe *got = replayer.probe(probed[k]);
+        ASSERT_NE(got, nullptr);
+        EXPECT_GT(got->counters().destructive, 0u);
+        expectSameProbe(*got, *reference_pags[k]->interferenceProbe());
+    }
+    for (std::size_t i : {1, 2, 4})
+        EXPECT_EQ(replayer.probe(i), nullptr);
 }
 
 TEST(BatchedReplay, GenericLaneProbeMatchesToo)

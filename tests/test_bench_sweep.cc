@@ -188,3 +188,24 @@ TEST(BenchCli, QuietSuppressesProgressHeartbeatEntirely)
               std::string::npos);
     setLogLevel(saved);
 }
+
+TEST(BenchCli, CountsBeyondUnsignedAreRejectedNotWrapped)
+{
+    // Narrowed to unsigned, 2^32 + 1 would run 1 shard and 2^32 would
+    // claim to be 0 threads.
+    EXPECT_EXIT(parseArgs({"bench", "--shards=4294967297"}),
+                ::testing::ExitedWithCode(1),
+                "--shards must be <= 4294967295, got 4294967297");
+    EXPECT_EXIT(parseArgs({"bench", "--threads=4294967296"}),
+                ::testing::ExitedWithCode(1),
+                "--threads must be <= 4294967295, got 4294967296");
+}
+
+TEST(BenchCli, ReplayIsAnUnknownOption)
+{
+    // Sweep cells have one replay engine, so there is no engine to
+    // select: --replay is rejected like any misspelled flag.
+    EXPECT_EXIT(parseArgs({"bench", "--replay=fanout"}),
+                ::testing::ExitedWithCode(1),
+                "unknown option '--replay=fanout'");
+}

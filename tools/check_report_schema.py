@@ -1,30 +1,28 @@
 #!/usr/bin/env python3
-"""Validate a BWSA run report against the bwsa.run_report schemas.
+"""Validate a BWSA run report against the bwsa.run_report.v4 schema.
 
 Usage: check_report_schema.py <report.json> [<report.json> ...]
 
-Accepts any schema version in ACCEPTED_SCHEMAS.  Checks the
-structural invariants the bench harnesses promise (see DESIGN.md,
-"Observability"): schema id, bench name, config echo, at least 5
-distinct phase timings, at least 10 metric series, at least one
-result table, and sane numeric fields.  v2 reports additionally
-carry the "timeseries" and "interference" sections, whose entry
-shapes are validated too.  v3 reports add the per-branch "branches"
-section; its scope entries are checked structurally AND arithmetically
-(per-branch execution/misprediction/victim counts must sum exactly to
-the scope totals, and the totals must agree with the matching
-"interference" entries), so CI catches any drift between the
-per-branch producers and the aggregate counters.  v4 reports add the
-"execution_phases" section (online phase detection); its per-phase
-attribution is reconciled the same way: per-phase executions,
-mispredictions, destructive events, births and deaths must sum
-exactly to the scope totals, and the similarity/transition matrices
-must be square, symmetric-with-unit-diagonal and row-stochastic
-respectively.  Reports carrying the graph allocation-payoff table
-(bench_graph_alloc) get its per-bin counters reconciled against the
-"all" row, its derived percentage columns recomputed, and the
->= 3-populated-bins acceptance bar enforced.  Exits non-zero with a
-message on the first violation, so CI can gate on it.
+Checks the structural invariants the bench harnesses promise (see
+DESIGN.md, "Observability"): schema id, bench name, config echo, at
+least 5 distinct phase timings, at least 10 metric series, at least
+one result table, and sane numeric fields.  The "timeseries" and
+"interference" sections must be present and their entries
+well-formed.  The per-branch "branches" section is checked
+structurally AND arithmetically (per-branch execution/misprediction/
+victim counts must sum exactly to the scope totals, and the totals
+must agree with the matching "interference" entries), so CI catches
+any drift between the per-branch producers and the aggregate
+counters.  The "execution_phases" section (online phase detection)
+is reconciled the same way: per-phase executions, mispredictions,
+destructive events, births and deaths must sum exactly to the scope
+totals, and the similarity/transition matrices must be square,
+symmetric-with-unit-diagonal and row-stochastic respectively.
+Reports carrying the graph allocation-payoff table (bench_graph_alloc)
+get its per-bin counters reconciled against the "all" row, its
+derived percentage columns recomputed, and the >= 3-populated-bins
+acceptance bar enforced.  Exits non-zero with a message on the first
+violation, so CI can gate on it.
 
 Only the standard library is used.
 """
@@ -32,8 +30,7 @@ Only the standard library is used.
 import json
 import sys
 
-ACCEPTED_SCHEMAS = ("bwsa.run_report.v1", "bwsa.run_report.v2",
-                    "bwsa.run_report.v3", "bwsa.run_report.v4")
+SCHEMA = "bwsa.run_report.v4"
 
 
 def fail(path, message):
@@ -230,7 +227,7 @@ def check_interference(path, entry):
     for key in ("scope", "predictor", "predictions", "agree",
                 "neutral", "constructive", "destructive",
                 "destructive_percent", "shadowed_branches",
-                "top_entries"):
+                "top_entries", "top_victims"):
         expect(path, key in entry,
                f"interference entry missing '{key}'")
     label = f"{entry['scope']}/{entry['predictor']}"
@@ -249,8 +246,7 @@ def check_interference(path, entry):
         expect(path, conflict["branches"] >= 2,
                f"interference {label}: conflict entry with < 2 "
                "branches")
-    # v3 probes also rank per-branch victims; older reports omit it.
-    for victim in entry.get("top_victims", ()):
+    for victim in entry["top_victims"]:
         for key in ("pc", "victim", "aggressor"):
             expect(path, key in victim,
                    f"interference {label}: top victim missing '{key}'")
@@ -544,9 +540,8 @@ def check_report(path):
         doc = json.load(handle)
 
     schema = doc.get("schema")
-    expect(path, schema in ACCEPTED_SCHEMAS,
-           f"bad schema id: {schema!r} (accepted: "
-           f"{', '.join(ACCEPTED_SCHEMAS)})")
+    expect(path, schema == SCHEMA,
+           f"bad schema id: {schema!r} (expected {SCHEMA!r})")
     expect(path, isinstance(doc.get("bench"), str) and doc["bench"],
            "missing bench name")
     expect(path, doc.get("started_unix_ms", 0) > 0,
@@ -588,45 +583,38 @@ def check_report(path):
         if table["title"] == GRAPH_PAYOFF_TITLE:
             check_graph_payoff_table(path, table)
 
-    version = int(schema.rsplit(".v", 1)[1])
-    extras = ""
-    if version >= 2:
-        timeseries = doc.get("timeseries")
-        expect(path, isinstance(timeseries, list),
-               f"{schema} report missing timeseries list")
-        for entry in timeseries:
-            check_series(path, entry)
-        interference = doc.get("interference")
-        expect(path, isinstance(interference, list),
-               f"{schema} report missing interference list")
-        for entry in interference:
-            check_interference(path, entry)
-        extras = (f", {len(timeseries)} timeseries, "
-                  f"{len(interference)} interference entries")
-    if version >= 3:
-        branches = doc.get("branches")
-        expect(path, isinstance(branches, list),
-               f"{schema} report missing branches list")
-        for entry in branches:
-            check_branches_scope(path, entry, doc["interference"])
-        scopes = {entry["scope"] for entry in branches}
-        expect(path, len(scopes) == len(branches),
-               "duplicate telemetry scopes in branches list")
-        extras += f", {len(branches)} telemetry scopes"
-    if version >= 4:
-        execution_phases = doc.get("execution_phases")
-        expect(path, isinstance(execution_phases, list),
-               f"{schema} report missing execution_phases list")
-        for entry in execution_phases:
-            check_execution_phases(path, entry)
-        scopes = {entry["scope"] for entry in execution_phases}
-        expect(path, len(scopes) == len(execution_phases),
-               "duplicate scopes in execution_phases list")
-        extras += (f", {len(execution_phases)} execution-phase "
-                   "scopes")
+    timeseries = doc.get("timeseries")
+    expect(path, isinstance(timeseries, list),
+           "report missing timeseries list")
+    for entry in timeseries:
+        check_series(path, entry)
+    interference = doc.get("interference")
+    expect(path, isinstance(interference, list),
+           "report missing interference list")
+    for entry in interference:
+        check_interference(path, entry)
+
+    branches = doc.get("branches")
+    expect(path, isinstance(branches, list), "report missing branches list")
+    for entry in branches:
+        check_branches_scope(path, entry, interference)
+    expect(path, len({entry["scope"] for entry in branches}) ==
+           len(branches), "duplicate telemetry scopes in branches list")
+
+    execution_phases = doc.get("execution_phases")
+    expect(path, isinstance(execution_phases, list),
+           "report missing execution_phases list")
+    for entry in execution_phases:
+        check_execution_phases(path, entry)
+    expect(path, len({entry["scope"] for entry in execution_phases}) ==
+           len(execution_phases),
+           "duplicate scopes in execution_phases list")
 
     print(f"{path}: OK ({len(names)} phases, {len(series)} series, "
-          f"{len(tables)} tables{extras})")
+          f"{len(tables)} tables, {len(timeseries)} timeseries, "
+          f"{len(interference)} interference entries, "
+          f"{len(branches)} telemetry scopes, "
+          f"{len(execution_phases)} execution-phase scopes)")
 
 
 def main(argv):
