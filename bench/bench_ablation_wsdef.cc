@@ -29,11 +29,11 @@ main(int argc, char **argv)
 
     for (const BenchmarkRun &run : defaultRuns(options)) {
         RowScope row_scope;
-        Workload w =
-            makeWorkload(run.preset, run.input_label, options.scale);
-        WorkloadTraceSource source = w.source();
+        ResolvedWorkload w =
+            resolveWorkload(run.preset, run.input_label, options.scale);
+        std::unique_ptr<TraceSource> source = w.source();
         ConflictGraph pruned =
-            profileTrace(source).pruned(options.threshold);
+            profileTrace(*source).pruned(options.threshold);
 
         for (WorkingSetDefinition def :
              {WorkingSetDefinition::MaximalClique,

@@ -563,6 +563,25 @@ profileSource(AllocationPipeline &pipeline, const TraceSource &source,
     }
 }
 
+namespace
+{
+
+/**
+ * Close a cell's working-set windows after profiling and, with
+ * --timeseries, publish them as "<scope>/working_set/{size,jaccard}".
+ */
+void
+finishCellWindows(obs::PhaseAccumulator &windows,
+                  const std::string &scope, const BenchOptions &options)
+{
+    windows.finish();
+    if (options.timeseries)
+        obs::publishWorkingSetSeries(windows, scope,
+                                     obs::TimeSeriesRegistry::global());
+}
+
+} // namespace
+
 TextTable
 buildWorkingSetTable(const BenchOptions &options)
 {
@@ -593,11 +612,13 @@ buildWorkingSetTable(const BenchOptions &options)
             ShardConfig config;
             config.shards = options.shards;
             config.threads = options.threads;
+            obs::PhaseAccumulator phase_accum(options.interval);
             if (options.timeseries)
-                config.interleave.series_scope = run.display;
+                config.interleave.phase = &phase_accum;
             ConflictGraph graph;
             shard_stats[cell.index] =
                 profileTraceSharded(source, graph, config);
+            finishCellWindows(phase_accum, run.display, options);
             ConflictGraph pruned = graph.pruned(options.threshold);
 
             WorkingSetResult sets = findWorkingSets(
@@ -648,20 +669,6 @@ struct CellPhases
 };
 
 using PcSet = std::unordered_set<std::uint64_t>;
-
-/** Jaccard over two phase populations (1.0 for two empty sets). */
-double
-pcSetJaccard(const PcSet &a, const PcSet &b)
-{
-    const PcSet &needle = a.size() <= b.size() ? a : b;
-    const PcSet &hay = a.size() <= b.size() ? b : a;
-    std::uint64_t inter = 0;
-    for (std::uint64_t pc : needle)
-        inter += hay.count(pc) ? 1 : 0;
-    std::uint64_t uni = a.size() + b.size() - inter;
-    return uni ? static_cast<double>(inter) / static_cast<double>(uni)
-               : 1.0;
-}
 
 std::string
 pcHex(std::uint64_t pc)
@@ -1035,7 +1042,7 @@ collectCellPhases(const std::string &scope,
         double sum = 0.0;
         for (std::size_t j = 0; j < n; ++j) {
             row[j] = i == j ? 1.0
-                            : pcSetJaccard(phasePcsOf(i),
+                            : obs::jaccard(phasePcsOf(i),
                                            phasePcsOf(j));
             sum += row[j];
         }
@@ -1179,29 +1186,27 @@ buildAllocationTables(const BenchOptions &options, bool classification)
             PipelineConfig config;
             config.allocation.edge_threshold = options.threshold;
             config.allocation.use_classification = classification;
-            if (options.timeseries)
-                config.interleave.series_scope = run.display;
             // Cell-local telemetry map, filled by the interleave pass
             // (sharded profiling folds its per-segment maps into it).
             obs::BranchTelemetryMap cell_map;
             if (options.branch_telemetry)
                 config.interleave.telemetry = &cell_map;
-            // Cell-local phase accumulator, fed by the interleave
+            // Cell-local working-set windows, fed by the interleave
             // pass (sharded profiling folds per-segment accumulators
-            // into it bit-identically).
+            // into it bit-identically): the --timeseries working-set
+            // series and the --phases timeline both read them.
             obs::PhaseAccumulator phase_accum(options.interval);
-            if (options.phases)
+            if (options.timeseries || options.phases)
                 config.interleave.phase = &phase_accum;
             AllocationPipeline pipeline(config);
             profileSource(pipeline, source, options, run.display,
                           run.preset + ":" + run.input_label);
+            finishCellWindows(phase_accum, run.display, options);
 
             obs::PhaseTimeline timeline;
-            if (options.phases) {
-                phase_accum.finish();
+            if (options.phases)
                 timeline = obs::detectPhases(
                     phase_accum, phaseDetectorConfig(options));
-            }
 
             const std::vector<PredictorSpec> specs{
                 paperBaselineSpec(), pipeline.predictorSpec(16),
@@ -1411,16 +1416,18 @@ buildGraphAllocTables(const BenchOptions &options,
             // branch set for the "all" row to reconcile against the
             // lane totals.
             config.coverage = 1.0;
-            if (options.timeseries)
-                config.interleave.series_scope = run.display;
             // The bins are keyed on per-branch history entropy, so
             // this bench always profiles with the telemetry map wired
             // in.  Pass an empty cache identity: a cache hit would
             // skip the interleave pass and leave the map empty.
             obs::BranchTelemetryMap cell_map;
             config.interleave.telemetry = &cell_map;
+            obs::PhaseAccumulator phase_accum(options.interval);
+            if (options.timeseries)
+                config.interleave.phase = &phase_accum;
             AllocationPipeline pipeline(config);
             profileSource(pipeline, source, options, run.display, "");
+            finishCellWindows(phase_accum, run.display, options);
 
             // Baseline modulo PAg, like-sized allocated PAg, and the
             // interference-free reference, probes on the first two:

@@ -25,8 +25,9 @@
  *                     its final flush line
  *   --timeseries      sample temporal signals (windowed misprediction
  *                     rate per predictor, working-set size and churn
- *                     per window, per-shard progress) into the run
- *                     report's "timeseries" section
+ *                     per window) into the run report's "timeseries"
+ *                     section; the working-set series are identical
+ *                     for serial and --shards=K runs
  *   --interval=<n>    time-series window width in retired
  *                     instructions (default 65536); windows merge
  *                     pairwise when a series outgrows its budget
@@ -302,7 +303,9 @@ TextTable buildWorkingSetTable(const BenchOptions &options);
  * and each probe's full report -- counters plus conflict top-N -- is
  * appended to the run report's "interference" section.  With
  * `--timeseries` every predictor publishes its windowed misprediction
- * rate under the benchmark's scope.
+ * rate under the benchmark's scope, next to the working-set series
+ * ("<benchmark>/working_set/{size,jaccard}") of the cell's phase
+ * accumulator.
  *
  * With `--branch-telemetry` every cell additionally collects one
  * per-branch telemetry scope (obs::BranchTelemetryMap wired into the

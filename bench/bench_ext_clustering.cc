@@ -4,10 +4,12 @@
  * are clustered branch mispredictions caused by changes in the branch
  * working set?
  *
- * For each benchmark we run the baseline PAg while detecting (a) miss
- * bursts and (b) working-set shifts (low Jaccard similarity between
- * consecutive trace windows), then report how much likelier a miss is
- * in a shift's aftermath than in steady state.  Amplification > 1
+ * For each benchmark we run the baseline PAg while detecting miss
+ * bursts and placing every branch against the working-set shifts of
+ * the trace's phase timeline (a PhaseAccumulator at --interval,
+ * segmented with the --phase-threshold/--phase-hysteresis/
+ * --phase-min-windows detector), then report how much likelier a miss
+ * is in a shift's aftermath than in steady state.  Amplification > 1
  * supports the paper's conjecture.
  */
 
@@ -35,13 +37,15 @@ main(int argc, char **argv)
 
     for (const BenchmarkRun &run : defaultRuns(options)) {
         RowScope row_scope;
-        Workload w =
-            makeWorkload(run.preset, run.input_label, options.scale);
-        WorkloadTraceSource source = w.source();
+        ResolvedWorkload w =
+            resolveWorkload(run.preset, run.input_label, options.scale);
+        std::unique_ptr<TraceSource> source = w.source();
 
+        obs::PhaseTimeline timeline = tracePhaseTimeline(
+            *source, options.interval, phaseDetectorConfig(options));
         PredictorPtr predictor = makePredictor(paperBaselineSpec());
-        ClusterReport report =
-            analyzeMispredictionClustering(source, *predictor);
+        ClusterReport report = analyzeMispredictionClustering(
+            *source, *predictor, timeline);
 
         double miss_pct =
             report.branches

@@ -38,14 +38,14 @@ main(int argc, char **argv)
         [&](const exec::SweepCell &cell) {
             const BenchmarkRun &run = runs[cell.index];
             RowScope row_scope(0, cell.worker);
-            Workload w = makeWorkload(run.preset, run.input_label,
-                                      options.scale);
-            WorkloadTraceSource source = w.source();
+            ResolvedWorkload w = resolveWorkload(
+                run.preset, run.input_label, options.scale);
+            std::unique_ptr<TraceSource> source = w.source();
 
             PipelineConfig config;
             config.allocation.edge_threshold = options.threshold;
             AllocationPipeline pipeline(config);
-            profileSource(pipeline, source, options, run.display,
+            profileSource(pipeline, *source, options, run.display,
                           run.preset + ":" + run.input_label);
 
             RequiredSizeResult req = pipeline.requiredSize(1024);

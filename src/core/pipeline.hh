@@ -232,9 +232,9 @@ struct StreamingSessionConfig
      * Analysis knobs.  A streaming session sees each record exactly
      * once, so the two-pass frequency reduction is unavailable:
      * coverage must be 1.0 and max_static 0 (the ctor checks), and
-     * the interleave config must carry no telemetry map or series
-     * scope.  The allocation half of the config drives snapshot-time
-     * allocations.
+     * the interleave config must carry no telemetry map or phase
+     * accumulator (set phase_interval instead).  The allocation half
+     * of the config drives snapshot-time allocations.
      */
     PipelineConfig pipeline;
 

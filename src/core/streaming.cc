@@ -21,10 +21,9 @@ StreamingProfileSession::StreamingProfileSession(
                    "two-pass frequency reduction is unavailable: "
                    "coverage must be 1.0 and max_static 0 (got ",
                    pipeline.coverage, ", ", pipeline.max_static, ")");
-    if (pipeline.interleave.telemetry ||
-        !pipeline.interleave.series_scope.empty())
+    if (pipeline.interleave.telemetry)
         bwsa_fatal("streaming sessions do not support per-branch "
-                   "telemetry or time-series scopes");
+                   "telemetry");
     if (pipeline.interleave.phase)
         bwsa_fatal("streaming sessions own their phase accumulator; "
                    "set phase_interval instead of an external "

@@ -1,30 +1,31 @@
 #include "obs/phase_detect.hh"
 
+#include "obs/timeseries.hh"
 #include "util/logging.hh"
 
 namespace bwsa::obs
 {
+
+double
+jaccard(const std::unordered_set<std::uint64_t> &a,
+        const std::unordered_set<std::uint64_t> &b)
+{
+    const auto &needle = a.size() <= b.size() ? a : b;
+    const auto &hay = a.size() <= b.size() ? b : a;
+    std::size_t inter = 0;
+    for (std::uint64_t key : needle)
+        inter += (hay.count(key) != 0);
+    std::size_t uni = a.size() + b.size() - inter;
+    return uni ? static_cast<double>(inter) /
+                     static_cast<double>(uni)
+               : 1.0;
+}
 
 PhaseAccumulator::PhaseAccumulator(std::uint64_t interval)
     : _interval(interval)
 {
     if (interval == 0)
         bwsa_panic("PhaseAccumulator interval must be >= 1");
-}
-
-double
-PhaseAccumulator::jaccard(const KeySet &current, const KeySet &prev)
-{
-    // Same arithmetic as WindowedSetSampler::closeWindow(), so the
-    // lossless phase signal and the (possibly downsampled) churn
-    // series agree bit-for-bit before the first pair-merge.
-    std::size_t inter = 0;
-    for (std::uint64_t key : current)
-        inter += (prev.count(key) != 0);
-    std::size_t uni = current.size() + prev.size() - inter;
-    return uni ? static_cast<double>(inter) /
-                     static_cast<double>(uni)
-               : 1.0;
 }
 
 void
@@ -241,6 +242,25 @@ detectPhases(const PhaseAccumulator &accumulator,
     for (const PhaseWindowStat &stat : accumulator.windows())
         detector.observe(stat);
     return detector.timeline();
+}
+
+void
+publishWorkingSetSeries(const PhaseAccumulator &accumulator,
+                        const std::string &scope,
+                        TimeSeriesRegistry &registry)
+{
+    if (!accumulator.finished())
+        bwsa_panic("publishWorkingSetSeries needs a finished "
+                   "accumulator");
+    TimeSeries *size = registry.series(scope + "/working_set/size");
+    TimeSeries *churn = registry.series(scope + "/working_set/jaccard");
+    if (!size || !churn)
+        return;
+    for (const PhaseWindowStat &stat : accumulator.windows()) {
+        size->record(stat.start, static_cast<double>(stat.distinct));
+        if (stat.has_similarity)
+            churn->record(stat.start, stat.similarity);
+    }
 }
 
 } // namespace bwsa::obs

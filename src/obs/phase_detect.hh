@@ -5,17 +5,21 @@
  * The paper's central claim is that branch working sets are small and
  * stable *within* execution regions but shift between them -- yet a
  * whole-trace aggregate cannot tell a phase-local aliasing storm from
- * a uniform low-grade problem.  This header promotes the one-shot
- * shift detector of sim/cluster_analysis.hh into a reusable,
- * mergeable observability component with two halves:
+ * a uniform low-grade problem.  This header is the one place the
+ * branch stream is cut into working-set windows; every consumer of
+ * that signal (the --timeseries working-set series, the --phases
+ * attribution, the streaming service's phase events and the
+ * misprediction-clustering analysis of sim/cluster_analysis.hh) reads
+ * it from here.  It has two halves:
  *
  *   * PhaseAccumulator consumes the (pc, timestamp) stream and folds
  *     it into fixed-width instruction windows, each carrying the
  *     distinct-PC count and the Jaccard similarity against the
- *     previous window's population -- the exact per-window signal
- *     WindowedSetSampler publishes into the time-series registry, but
- *     kept lossless (no pair-merge downsampling) so phase boundaries
- *     are bit-stable however long the trace runs.
+ *     previous window's population, kept lossless (no pair-merge
+ *     downsampling) so phase boundaries are bit-stable however long
+ *     the trace runs.  publishWorkingSetSeries() renders a finished
+ *     accumulator as the "<scope>/working_set/{size,jaccard}" time
+ *     series.
  *
  *   * PhaseDetector segments the window sequence into phases with a
  *     churn threshold, re-arm hysteresis and a minimum-phase-length
@@ -39,11 +43,22 @@
 #define BWSA_OBS_PHASE_DETECT_HH
 
 #include <cstdint>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
 namespace bwsa::obs
 {
+
+class TimeSeriesRegistry;
+
+/**
+ * Jaccard similarity (intersection over union) of two PC populations;
+ * 1.0 when both are empty.  Iterates the smaller set; the counts are
+ * integers, so the result is the same whichever argument is larger.
+ */
+double jaccard(const std::unordered_set<std::uint64_t> &a,
+               const std::unordered_set<std::uint64_t> &b);
 
 /** One closed working-set window of the phase signal. */
 struct PhaseWindowStat
@@ -116,7 +131,6 @@ class PhaseAccumulator
 
     void closeOpenWindow();
     void pushStat(const PhaseWindowStat &stat, const KeySet &keys);
-    static double jaccard(const KeySet &current, const KeySet &prev);
 
     std::uint64_t _interval;
     bool _finished = false;
@@ -230,6 +244,20 @@ class PhaseDetector
  */
 PhaseTimeline detectPhases(const PhaseAccumulator &accumulator,
                            const PhaseDetectorConfig &config = {});
+
+/**
+ * Publish a finished accumulator's windows into @p registry as two
+ * time series: "<scope>/working_set/size" (distinct PCs per window)
+ * and "<scope>/working_set/jaccard" (similarity against the previous
+ * window; the first window has none).  Both series are created even
+ * when empty; a disabled registry publishes nothing.  Because sharded
+ * profiling folds its accumulators exactly, serial and sharded runs
+ * publish identical series.  Panics unless @p accumulator is finished
+ * (an open tail window would silently go missing).
+ */
+void publishWorkingSetSeries(const PhaseAccumulator &accumulator,
+                             const std::string &scope,
+                             TimeSeriesRegistry &registry);
 
 } // namespace bwsa::obs
 

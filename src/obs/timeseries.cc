@@ -222,57 +222,4 @@ TimeSeriesRegistry::chromeCounterEvents() const
     return events;
 }
 
-WindowedSetSampler::WindowedSetSampler(TimeSeries *size_series,
-                                       TimeSeries *churn_series,
-                                       std::uint64_t interval)
-    : _size_series(size_series), _churn_series(churn_series),
-      _interval(interval)
-{
-    if (_interval == 0)
-        bwsa_panic("WindowedSetSampler interval must be nonzero");
-}
-
-void
-WindowedSetSampler::sample(std::uint64_t key, std::uint64_t timestamp)
-{
-    std::uint64_t start = (timestamp / _interval) * _interval;
-    if (_any && start != _window_start)
-        closeWindow();
-    _window_start = start;
-    _any = true;
-    _current.insert(key);
-}
-
-void
-WindowedSetSampler::finish()
-{
-    if (_any && !_current.empty())
-        closeWindow();
-}
-
-void
-WindowedSetSampler::closeWindow()
-{
-    if (_size_series)
-        _size_series->record(_window_start,
-                             static_cast<double>(_current.size()));
-    if (_churn_series && _windows_closed > 0) {
-        // Jaccard similarity of consecutive window populations: the
-        // churn signal the cluster_analysis shift detector thresholds.
-        std::size_t inter = 0;
-        for (std::uint64_t key : _current)
-            inter += (_previous.count(key) != 0);
-        std::size_t uni =
-            _current.size() + _previous.size() - inter;
-        double similarity =
-            uni ? static_cast<double>(inter) /
-                      static_cast<double>(uni)
-                : 1.0;
-        _churn_series->record(_window_start, similarity);
-    }
-    ++_windows_closed;
-    _previous = std::move(_current);
-    _current.clear();
-}
-
 } // namespace bwsa::obs

@@ -13,16 +13,6 @@ InterleaveTracker::InterleaveTracker(ConflictGraph &graph,
                                      const InterleaveConfig &config)
     : _graph(graph), _config(config)
 {
-    if (!_config.series_scope.empty()) {
-        auto &registry = obs::TimeSeriesRegistry::global();
-        obs::TimeSeries *size_series = registry.series(
-            _config.series_scope + "/working_set/size");
-        obs::TimeSeries *churn_series = registry.series(
-            _config.series_scope + "/working_set/jaccard");
-        if (size_series || churn_series)
-            _set_sampler = std::make_unique<obs::WindowedSetSampler>(
-                size_series, churn_series, registry.defaultWidth());
-    }
 }
 
 void
@@ -81,8 +71,6 @@ InterleaveTracker::onBranch(const BranchRecord &record)
     NodeId id = _graph.addOrGetNode(record.pc);
     ensureNode(id);
     _graph.recordExecution(id, record.taken);
-    if (_set_sampler)
-        _set_sampler->sample(record.pc, record.timestamp);
     if (_config.telemetry)
         _config.telemetry->record(record.pc, record.taken,
                                   record.timestamp);
@@ -127,8 +115,6 @@ void
 InterleaveTracker::onEnd()
 {
     BWSA_SPAN("profile.flush");
-    if (_set_sampler)
-        _set_sampler->finish();
     for (NodeId a = 0; a < _pair_counts.size(); ++a) {
         FlatCounterMap &counts = _pair_counts[a];
         if (counts.empty())

@@ -26,11 +26,8 @@
 #define BWSA_PROFILE_INTERLEAVE_HH
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
-#include "obs/timeseries.hh"
 #include "profile/conflict_graph.hh"
 #include "trace/trace.hh"
 #include "util/flat_counter.hh"
@@ -54,16 +51,6 @@ struct InterleaveConfig
     std::size_t max_window = 4096;
 
     /**
-     * Time-series name prefix for the temporal working-set signal.
-     * When nonempty and the global TimeSeriesRegistry is enabled, the
-     * tracker publishes "<scope>/working_set/size" (distinct branch
-     * PCs per instruction window) and "<scope>/working_set/jaccard"
-     * (population similarity against the previous window).  Scopes
-     * must be unique per concurrent tracker (single-writer contract).
-     */
-    std::string series_scope;
-
-    /**
      * Per-branch telemetry accumulator fed one record per dynamic
      * branch the tracker sees (after any frequency filtering).  Not
      * owned; null disables collection entirely.  The sharded engine
@@ -74,8 +61,10 @@ struct InterleaveConfig
     obs::BranchTelemetryMap *telemetry = nullptr;
 
     /**
-     * Lossless phase-signal accumulator fed one (pc, timestamp) pair
-     * per dynamic branch (see obs/phase_detect.hh).  Not owned; null
+     * Working-set window accumulator fed one (pc, timestamp) pair per
+     * dynamic branch (see obs/phase_detect.hh): the one source of the
+     * windowed working-set signal, read back as phases (detectPhases)
+     * or as time series (publishWorkingSetSeries).  Not owned; null
      * disables collection.  Like the telemetry map, the sharded
      * engine substitutes a cold accumulator per segment and folds
      * them in segment order; the owner calls finish() after the fold,
@@ -154,8 +143,6 @@ class InterleaveTracker : public TraceSink
      * flush time.  Open addressing here is the profiler's hot path.
      */
     std::vector<FlatCounterMap> _pair_counts;
-    /** Temporal working-set sampler; null unless a scope was set. */
-    std::unique_ptr<obs::WindowedSetSampler> _set_sampler;
     NodeId _head = invalid_node;
     NodeId _tail = invalid_node;
     std::size_t _window_size = 0;

@@ -9,7 +9,6 @@
 #include "obs/metrics.hh"
 #include "obs/phase_detect.hh"
 #include "obs/phase_tracer.hh"
-#include "obs/timeseries.hh"
 #include "profile/stitch.hh"
 #include "util/logging.hh"
 
@@ -42,37 +41,6 @@ replayFiltered(const TraceSource &segment,
         segment.replay(sink);
     }
 }
-
-/**
- * Pass-through sink publishing shard progress: one unit sample per
- * record at its trace timestamp, so the series' window *weights* show
- * how many records each instruction window contributed to this shard
- * (a throughput-over-trace-position signal per worker).
- */
-class ShardProgressSink : public TraceSink
-{
-  public:
-    ShardProgressSink(TraceSink &inner, obs::TimeSeries *series)
-        : _inner(inner), _series(series)
-    {
-    }
-
-    void
-    onBranch(const BranchRecord &record) override
-    {
-        if (_series)
-            _series->record(record.timestamp, 1.0);
-        _inner.onBranch(record);
-    }
-
-    void onEnd() override { _inner.onEnd(); }
-
-    bool done() const override { return _inner.done(); }
-
-  private:
-    TraceSink &_inner;
-    obs::TimeSeries *_series;
-};
 
 /** Result of one shard of the parallel pass. */
 struct ShardResult
@@ -163,16 +131,7 @@ profileTraceSharded(const TraceSource &source, ConflictGraph &graph,
             span.addWork(segments[i].recordCount());
             Clock::time_point start = Clock::now();
 
-            // Scope this shard's series under its index: each shard
-            // writes only its own series (single-writer contract).
             InterleaveConfig shard_config = config.interleave;
-            obs::TimeSeries *progress = nullptr;
-            if (!shard_config.series_scope.empty()) {
-                shard_config.series_scope += "/shard" +
-                                             std::to_string(i);
-                progress = obs::TimeSeriesRegistry::global().series(
-                    shard_config.series_scope + "/progress");
-            }
             if (telemetry) {
                 shard_maps[i] =
                     std::make_unique<obs::BranchTelemetryMap>(
@@ -186,8 +145,7 @@ profileTraceSharded(const TraceSource &source, ConflictGraph &graph,
                 shard_config.phase = shard_phases[i].get();
             }
             InterleaveTracker tracker(results[i].graph, shard_config);
-            ShardProgressSink sink(tracker, progress);
-            replayFiltered(segments[i], config.selection, sink);
+            replayFiltered(segments[i], config.selection, tracker);
             results[i].window = tracker.windowPcs();
 
             ShardTiming &timing = stats.timings[i];

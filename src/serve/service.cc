@@ -200,7 +200,6 @@ ProfileService::handleBegin(std::uint64_t tenant, const Frame &request)
     session_config.pipeline.coverage = 1.0;
     session_config.pipeline.max_static = 0;
     session_config.pipeline.interleave.telemetry = nullptr;
-    session_config.pipeline.interleave.series_scope.clear();
     session_config.pipeline.interleave.phase = nullptr;
     if (max_window != 0)
         session_config.pipeline.interleave.max_window =

@@ -1,10 +1,6 @@
 #include "sim/cluster_analysis.hh"
 
-#include <deque>
-#include <unordered_map>
-#include <unordered_set>
-
-#include "util/logging.hh"
+#include "obs/metrics.hh"
 
 namespace bwsa
 {
@@ -12,16 +8,36 @@ namespace bwsa
 namespace
 {
 
+/** Feeds every branch of a stream into a phase accumulator. */
+class PhaseSampleSink : public TraceSink
+{
+  public:
+    explicit PhaseSampleSink(obs::PhaseAccumulator &accumulator)
+        : _accumulator(accumulator)
+    {
+    }
+
+    void
+    onBranch(const BranchRecord &record) override
+    {
+        _accumulator.sample(record.pc, record.timestamp);
+    }
+
+  private:
+    obs::PhaseAccumulator &_accumulator;
+};
+
 /**
- * Streaming sink combining prediction, burst detection, and
- * windowed working-set shift detection in one pass.
+ * Streaming sink combining prediction, burst detection, and shift
+ * proximity accounting against a phase timeline in one pass.
  */
 class ClusterSink : public TraceSink
 {
   public:
-    ClusterSink(Predictor &predictor, const ClusterConfig &config,
-                ClusterReport &report)
-        : _predictor(predictor), _config(config), _report(report)
+    ClusterSink(Predictor &predictor, const obs::PhaseTimeline &timeline,
+                const ClusterConfig &config, ClusterReport &report)
+        : _predictor(predictor), _phases(timeline.phases),
+          _config(config), _report(report)
     {
     }
 
@@ -36,7 +52,13 @@ class ClusterSink : public TraceSink
         if (miss)
             ++_report.misses;
 
-        // --- shift proximity accounting.
+        // --- shift proximity accounting: the aftermath of a phase
+        // boundary opens at the first record at or past its start.
+        while (_next_phase < _phases.size() &&
+               record.timestamp >= _phases[_next_phase].start_ts) {
+            _since_shift = 0;
+            ++_next_phase;
+        }
         if (_since_shift < _config.aftermath) {
             _report.near_shift.record(miss);
             ++_since_shift;
@@ -54,13 +76,6 @@ class ClusterSink : public TraceSink
             ++_gap;
             if (_gap > _config.burst_gap)
                 closeRun();
-        }
-
-        // --- working-set window tracking.
-        _window.insert(record.pc);
-        if (++_in_window >= _config.window) {
-            closeWindow();
-            _in_window = 0;
         }
     }
 
@@ -86,67 +101,50 @@ class ClusterSink : public TraceSink
         _gap = 0;
     }
 
-    void
-    closeWindow()
-    {
-        // Novelty: share of this window's distinct branches that the
-        // resident set (union of recent windows) has not seen.
-        if (!_resident_counts.empty() || !_history.empty()) {
-            std::size_t fresh = 0;
-            for (BranchPc pc : _window)
-                fresh += (_resident_counts.count(pc) == 0);
-            double novelty =
-                _window.empty()
-                    ? 0.0
-                    : static_cast<double>(fresh) /
-                          static_cast<double>(_window.size());
-            if (novelty > _config.shift_novelty) {
-                ++_report.shifts;
-                _since_shift = 0;
-            }
-        }
-
-        // Roll the window into the resident set.
-        for (BranchPc pc : _window)
-            ++_resident_counts[pc];
-        _history.push_back(std::move(_window));
-        _window.clear();
-        if (_history.size() > _config.resident_windows) {
-            for (BranchPc pc : _history.front()) {
-                auto it = _resident_counts.find(pc);
-                if (--it->second == 0)
-                    _resident_counts.erase(it);
-            }
-            _history.pop_front();
-        }
-    }
-
     Predictor &_predictor;
+    const std::vector<obs::Phase> &_phases;
     const ClusterConfig &_config;
     ClusterReport &_report;
 
     std::size_t _run_misses = 0;   ///< misses in the open run
     std::size_t _gap = 0;          ///< correct branches since a miss
 
-    std::unordered_set<BranchPc> _window;
-    std::deque<std::unordered_set<BranchPc>> _history;
-    std::unordered_map<BranchPc, int> _resident_counts;
-    std::size_t _in_window = 0;
+    /** First phase whose boundary is still ahead (phase 0 has none). */
+    std::size_t _next_phase = 1;
     std::size_t _since_shift = ~std::size_t(0) / 2; ///< start steady
 };
 
 } // namespace
 
+obs::PhaseTimeline
+tracePhaseTimeline(const TraceSource &source, std::uint64_t interval,
+                   const obs::PhaseDetectorConfig &config)
+{
+    obs::PhaseAccumulator accumulator(interval);
+    PhaseSampleSink sink(accumulator);
+    source.replay(sink);
+    accumulator.finish();
+    return obs::detectPhases(accumulator, config);
+}
+
 ClusterReport
 analyzeMispredictionClustering(const TraceSource &source,
                                Predictor &predictor,
+                               const obs::PhaseTimeline &timeline,
                                const ClusterConfig &config)
 {
-    if (config.window == 0)
-        bwsa_panic("ClusterConfig window must be nonzero");
     ClusterReport report;
-    ClusterSink sink(predictor, config, report);
+    report.shifts =
+        timeline.phases.empty() ? 0 : timeline.phases.size() - 1;
+    ClusterSink sink(predictor, timeline, config, report);
     source.replay(sink);
+
+    // One predictor over one replay, counted like the other engines.
+    obs::MetricsRegistry &metrics = obs::MetricsRegistry::global();
+    metrics.counter("sim.runs").inc();
+    metrics.counter("sim.predictor_runs").inc();
+    metrics.counter("sim.branches").inc(report.branches);
+    metrics.counter("sim.mispredicts").inc(report.misses);
     return report;
 }
 

@@ -5,12 +5,13 @@
  * found in recent work on dynamic prediction caused by changes in
  * working set?"
  *
- * This analysis runs a predictor over a trace while simultaneously
- * (a) grouping mispredictions into bursts (maximal runs of misses
- * separated by fewer than a gap of correctly predicted branches) and
- * (b) detecting working-set shifts as low Jaccard similarity between
- * the distinct-branch populations of consecutive trace windows.  It
- * then contrasts the miss rate in the aftermath of a shift against
+ * This analysis runs a predictor over a trace while (a) grouping
+ * mispredictions into bursts (maximal runs of misses separated by
+ * fewer than a gap of correctly predicted branches) and (b) placing
+ * each branch relative to the working-set shifts of a phase timeline
+ * (obs/phase_detect.hh: a boundary is a window whose Jaccard
+ * similarity to its predecessor drops below the detector threshold).
+ * It then contrasts the miss rate in the aftermath of a shift against
  * the steady-state miss rate, quantifying how much of the clustering
  * is attributable to working-set change.
  */
@@ -20,6 +21,7 @@
 
 #include <cstdint>
 
+#include "obs/phase_detect.hh"
 #include "predict/predictor.hh"
 #include "trace/trace.hh"
 #include "util/stats.hh"
@@ -30,24 +32,6 @@ namespace bwsa
 /** Knobs of the clustering analysis. */
 struct ClusterConfig
 {
-    /** Dynamic branches per working-set observation window. */
-    std::size_t window = 512;
-
-    /**
-     * Number of preceding windows whose union forms the "resident"
-     * branch set a new window is compared against.  Comparing against
-     * the union (not just the previous window) keeps the detector
-     * quiet while a phase's procedures interleave and loud only when
-     * genuinely new code arrives.
-     */
-    std::size_t resident_windows = 4;
-
-    /**
-     * Fraction of a window's distinct branches that must be absent
-     * from the resident set to declare a working-set shift.
-     */
-    double shift_novelty = 0.45;
-
     /** Misses separated by fewer correct branches fuse into a burst. */
     std::size_t burst_gap = 8;
 
@@ -68,7 +52,7 @@ struct ClusterReport
     std::uint64_t burst_misses = 0;  ///< misses inside bursts
     double avg_burst_length = 0.0;   ///< mean misses per burst
 
-    std::uint64_t shifts = 0;        ///< working-set shifts observed
+    std::uint64_t shifts = 0;        ///< phase boundaries (shifts)
 
     /** Miss ratio within `aftermath` branches of a shift. */
     RatioStat near_shift;
@@ -99,11 +83,23 @@ struct ClusterReport
 };
 
 /**
+ * Phase timeline of every branch in @p source: one PhaseAccumulator
+ * at @p interval, segmented by a PhaseDetector with @p config.
+ */
+obs::PhaseTimeline
+tracePhaseTimeline(const TraceSource &source, std::uint64_t interval,
+                   const obs::PhaseDetectorConfig &config = {});
+
+/**
  * Run the clustering analysis over one trace with one predictor.
+ * Each boundary of @p timeline (every phase but the first) is a
+ * shift; its aftermath opens at the first record whose timestamp
+ * reaches the phase's start_ts.
  */
 ClusterReport
 analyzeMispredictionClustering(const TraceSource &source,
                                Predictor &predictor,
+                               const obs::PhaseTimeline &timeline,
                                const ClusterConfig &config = {});
 
 } // namespace bwsa

@@ -3,7 +3,8 @@
  * End-to-end checks for the bench harness: parallel-sweep determinism
  * (Figure 3/4 and Table 2 tables byte-identical across thread and
  * shard counts), the --quiet/--progress CLI contract, and the
- * --timeseries/--interference observability paths.
+ * --timeseries/--interference observability paths (working-set series
+ * identical across shard counts).
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "bench_common.hh"
+#include "obs/phase_detect.hh"
 #include "obs/progress.hh"
 #include "obs/run_report.hh"
 #include "obs/timeseries.hh"
@@ -75,6 +77,66 @@ TEST(BenchSweep, Table2IdenticalAcrossShardAndThreadCounts)
     EXPECT_EQ(buildWorkingSetTable(uneven_options).render(), serial);
 
     EXPECT_NE(serial.find("compress"), std::string::npos);
+}
+
+TEST(BenchSweep, WorkingSetSeriesIdenticalAcrossShardCounts)
+{
+    // The --timeseries working-set series come from the cell's phase
+    // accumulator, which sharded profiling folds exactly: a sharded
+    // Table 2 run publishes the same points under the same names as
+    // a serial one, with no per-shard series and no window cut short
+    // at a segment boundary.
+    const std::uint64_t interval = 4096;
+    auto &registry = obs::TimeSeriesRegistry::global();
+    auto publish = [&](unsigned shards) {
+        registry.clear();
+        registry.configureDefaults(interval);
+        registry.setEnabled(true);
+        BenchOptions options = smallOptions(2);
+        options.scale = 0.05;
+        options.benchmarks = {"m88ksim"};
+        options.timeseries = true;
+        options.interval = interval;
+        options.shards = shards;
+        buildWorkingSetTable(options);
+        registry.setEnabled(false);
+        return registry.toJson().dumpString();
+    };
+    const std::string serial = publish(1);
+    EXPECT_EQ(publish(3), serial);
+
+    // One point per window of the whole (unfiltered) trace.
+    const obs::TimeSeries *size =
+        registry.find("m88ksim/working_set/size");
+    const obs::TimeSeries *churn =
+        registry.find("m88ksim/working_set/jaccard");
+    ASSERT_NE(size, nullptr);
+    ASSERT_NE(churn, nullptr);
+    EXPECT_EQ(registry.seriesCount(), 2u);
+    EXPECT_EQ(size->downsamples(), 0u);
+
+    ResolvedWorkload w = resolveWorkload(
+        "m88ksim", presetInputs("m88ksim")[0].label, 0.05);
+    MemoryTrace trace;
+    w.source()->replay(trace);
+    obs::PhaseAccumulator windows(interval);
+    for (const BranchRecord &record : trace.records())
+        windows.sample(record.pc, record.timestamp);
+    windows.finish();
+    const std::vector<obs::PhaseWindowStat> &stats = windows.windows();
+    ASSERT_GT(stats.size(), 2u);
+    ASSERT_EQ(size->points().size(), stats.size());
+    ASSERT_EQ(churn->points().size(), stats.size() - 1);
+    for (std::size_t i = 0; i < stats.size(); ++i) {
+        EXPECT_EQ(size->points()[i].start, stats[i].start);
+        EXPECT_EQ(size->points()[i].mean(),
+                  static_cast<double>(stats[i].distinct));
+        if (i == 0)
+            continue;
+        EXPECT_EQ(churn->points()[i - 1].start, stats[i].start);
+        EXPECT_EQ(churn->points()[i - 1].mean(), stats[i].similarity);
+    }
+    registry.clear();
 }
 
 TEST(BenchSweep, RepeatedParallelRunsAreStable)

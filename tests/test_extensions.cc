@@ -226,8 +226,8 @@ TEST(ClusterAnalysis, CountsMissesExactly)
 
     AlwaysTakenPredictor p;
     ClusterConfig config;
-    ClusterReport report =
-        analyzeMispredictionClustering(trace, p, config);
+    ClusterReport report = analyzeMispredictionClustering(
+        trace, p, tracePhaseTimeline(trace, 640), config);
     EXPECT_EQ(report.branches, 1000u);
     EXPECT_EQ(report.misses, 500u);
     EXPECT_EQ(report.bursts, 1u);
@@ -242,7 +242,8 @@ TEST(ClusterAnalysis, IsolatedMissesFormNoBursts)
     for (int i = 0; i < 5000; ++i)
         trace.onBranch({0x100, 5ull * (i + 1), i % 100 != 0});
     AlwaysTakenPredictor p;
-    ClusterReport report = analyzeMispredictionClustering(trace, p);
+    ClusterReport report = analyzeMispredictionClustering(
+        trace, p, tracePhaseTimeline(trace, 640));
     EXPECT_EQ(report.misses, 50u);
     EXPECT_EQ(report.bursts, 0u);
     EXPECT_DOUBLE_EQ(report.burstMissFraction(), 0.0);
@@ -250,21 +251,33 @@ TEST(ClusterAnalysis, IsolatedMissesFormNoBursts)
 
 TEST(ClusterAnalysis, DetectsWorkingSetShift)
 {
-    // Phase 1 cycles branches 0..19; phase 2 cycles a disjoint set.
+    // Region 1 cycles taken branches 0..19; region 2 cycles a
+    // disjoint set of not-taken ones, starting exactly at the window
+    // boundary ts 20480 (16 windows of 1280 into the trace).
     MemoryTrace trace;
-    std::uint64_t ts = 0;
-    for (int i = 0; i < 4100; ++i)
-        trace.onBranch({0x1000 + 8ull * (i % 20), ts += 5, true});
-    for (int i = 0; i < 4100; ++i)
-        trace.onBranch({0x9000 + 8ull * (i % 20), ts += 5, true});
+    for (int i = 0; i < 8192; ++i) {
+        const bool first = i < 4096;
+        trace.onBranch({(first ? 0x1000 : 0x9000) + 8ull * (i % 20),
+                        5ull * i, first});
+    }
 
+    obs::PhaseTimeline timeline = tracePhaseTimeline(trace, 1280);
+    ASSERT_EQ(timeline.phases.size(), 2u);
+    EXPECT_EQ(timeline.phases[1].start_ts, 20480u);
+
+    // Always-taken misses every region-2 branch.  The aftermath opens
+    // at the first record of the boundary window, so it holds exactly
+    // `aftermath` misses: opening one record early would pull in a
+    // region-1 hit, opening late would leave a miss in steady state.
     AlwaysTakenPredictor p;
     ClusterConfig config;
-    config.window = 256;
     ClusterReport report =
-        analyzeMispredictionClustering(trace, p, config);
-    EXPECT_GE(report.shifts, 1u);
-    EXPECT_LE(report.shifts, 2u);
+        analyzeMispredictionClustering(trace, p, timeline, config);
+    EXPECT_EQ(report.shifts, 1u);
+    EXPECT_EQ(report.near_shift.total(), config.aftermath);
+    EXPECT_EQ(report.near_shift.events(), config.aftermath);
+    EXPECT_EQ(report.steady.total(), 8192u - config.aftermath);
+    EXPECT_EQ(report.steady.events(), 4096u - config.aftermath);
 }
 
 TEST(ClusterAnalysis, SteadyPhaseHasNoShifts)
@@ -274,17 +287,18 @@ TEST(ClusterAnalysis, SteadyPhaseHasNoShifts)
     for (int i = 0; i < 20000; ++i)
         trace.onBranch({0x1000 + 8ull * (i % 50), ts += 5, true});
     AlwaysTakenPredictor p;
-    ClusterReport report = analyzeMispredictionClustering(trace, p);
+    ClusterReport report = analyzeMispredictionClustering(
+        trace, p, tracePhaseTimeline(trace, 1280));
     EXPECT_EQ(report.shifts, 0u);
+    EXPECT_EQ(report.near_shift.total(), 0u);
+    EXPECT_EQ(report.steady.total(), 20000u);
 }
 
 TEST(ClusterAnalysisDeath, ZeroWindowPanics)
 {
+    // The analysis' working-set windows are a PhaseAccumulator's.
     MemoryTrace trace;
     trace.onBranch({0x100, 5, true});
-    AlwaysTakenPredictor p;
-    ClusterConfig config;
-    config.window = 0;
-    EXPECT_DEATH(analyzeMispredictionClustering(trace, p, config),
-                 "window");
+    EXPECT_DEATH(obs::PhaseAccumulator(0), "interval");
+    EXPECT_DEATH(tracePhaseTimeline(trace, 0), "interval");
 }

@@ -3,7 +3,7 @@
  * Tests for the bounded time-series layer: window accumulation,
  * budget-driven downsampling, out-of-order samples, the registry's
  * enable/disable contract, JSON/Chrome-trace export, and the
- * windowed working-set sampler.
+ * working-set series published from a phase accumulator.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/phase_detect.hh"
 #include "obs/timeseries.hh"
 
 using namespace bwsa::obs;
@@ -208,91 +209,146 @@ TEST(TimeSeriesRegistry, ChromeCounterEventsOnePerWindow)
                      1.0);
 }
 
-// ------------------------------------------------- WindowedSetSampler
+// -------------------------------------------------- working-set series
 
-TEST(WindowedSetSampler, PublishesDistinctCountPerWindow)
+namespace
 {
-    TimeSeries size("size", 100, 64);
-    WindowedSetSampler sampler(&size, nullptr, 100);
 
-    sampler.sample(0xA, 0);
-    sampler.sample(0xB, 10);
-    sampler.sample(0xA, 20); // duplicate key, same window
-    sampler.sample(0xC, 150);
-    sampler.finish();
+/** Enabled registry whose new series match the accumulator's width. */
+struct SeriesRegistry
+{
+    TimeSeriesRegistry registry;
 
-    EXPECT_EQ(sampler.windowsClosed(), 2u);
-    ASSERT_EQ(size.points().size(), 2u);
-    EXPECT_DOUBLE_EQ(size.points()[0].mean(), 2.0);
-    EXPECT_DOUBLE_EQ(size.points()[1].mean(), 1.0);
+    SeriesRegistry()
+    {
+        registry.configureDefaults(100, 64);
+        registry.setEnabled(true);
+    }
+};
+
+} // namespace
+
+TEST(WorkingSetSeries, PublishesDistinctCountPerWindow)
+{
+    SeriesRegistry out;
+    PhaseAccumulator windows(100);
+
+    windows.sample(0xA, 0);
+    windows.sample(0xB, 10);
+    windows.sample(0xA, 20); // duplicate key, same window
+    windows.sample(0xC, 150);
+    windows.finish();
+    publishWorkingSetSeries(windows, "s", out.registry);
+
+    EXPECT_EQ(windows.windows().size(), 2u);
+    const TimeSeries *size = out.registry.find("s/working_set/size");
+    ASSERT_NE(size, nullptr);
+    ASSERT_EQ(size->points().size(), 2u);
+    EXPECT_DOUBLE_EQ(size->points()[0].mean(), 2.0);
+    EXPECT_DOUBLE_EQ(size->points()[1].mean(), 1.0);
 }
 
-TEST(WindowedSetSampler, JaccardChurnAgainstPreviousWindow)
+TEST(WorkingSetSeries, JaccardChurnAgainstPreviousWindow)
 {
-    TimeSeries churn("jaccard", 100, 64);
-    WindowedSetSampler sampler(nullptr, &churn, 100);
+    SeriesRegistry out;
+    PhaseAccumulator windows(100);
 
     // Window 0: {A, B}.  Window 1: {B, C} -> Jaccard 1/3.
     // Window 2: {B, C} -> Jaccard 1.  Window 3: {D} -> Jaccard 0.
-    sampler.sample(0xA, 0);
-    sampler.sample(0xB, 1);
-    sampler.sample(0xB, 100);
-    sampler.sample(0xC, 101);
-    sampler.sample(0xB, 200);
-    sampler.sample(0xC, 201);
-    sampler.sample(0xD, 300);
-    sampler.finish();
+    windows.sample(0xA, 0);
+    windows.sample(0xB, 1);
+    windows.sample(0xB, 100);
+    windows.sample(0xC, 101);
+    windows.sample(0xB, 200);
+    windows.sample(0xC, 201);
+    windows.sample(0xD, 300);
+    windows.finish();
+    publishWorkingSetSeries(windows, "s", out.registry);
 
     // No churn point for the first window (nothing to compare).
-    ASSERT_EQ(churn.points().size(), 3u);
-    EXPECT_DOUBLE_EQ(churn.points()[0].mean(), 1.0 / 3.0);
-    EXPECT_DOUBLE_EQ(churn.points()[1].mean(), 1.0);
-    EXPECT_DOUBLE_EQ(churn.points()[2].mean(), 0.0);
+    const TimeSeries *churn =
+        out.registry.find("s/working_set/jaccard");
+    ASSERT_NE(churn, nullptr);
+    ASSERT_EQ(churn->points().size(), 3u);
+    EXPECT_DOUBLE_EQ(churn->points()[0].mean(), 1.0 / 3.0);
+    EXPECT_DOUBLE_EQ(churn->points()[1].mean(), 1.0);
+    EXPECT_DOUBLE_EQ(churn->points()[2].mean(), 0.0);
 }
 
-TEST(WindowedSetSampler, FinishIsIdempotentAndSkipsEmptyStreams)
+TEST(WorkingSetSeries, FinishIsIdempotentAndSkipsEmptyStreams)
 {
-    TimeSeries size("size", 100, 64);
+    SeriesRegistry out;
     {
-        WindowedSetSampler sampler(&size, nullptr, 100);
-        sampler.finish(); // no samples: publishes nothing
-        EXPECT_EQ(sampler.windowsClosed(), 0u);
+        PhaseAccumulator windows(100);
+        windows.finish(); // no samples: publishes nothing
+        publishWorkingSetSeries(windows, "s", out.registry);
+        EXPECT_TRUE(windows.windows().empty());
     }
-    EXPECT_TRUE(size.points().empty());
+    // Both series exist even when empty.
+    const TimeSeries *size = out.registry.find("s/working_set/size");
+    const TimeSeries *churn =
+        out.registry.find("s/working_set/jaccard");
+    ASSERT_NE(size, nullptr);
+    ASSERT_NE(churn, nullptr);
+    EXPECT_TRUE(size->points().empty());
+    EXPECT_TRUE(churn->points().empty());
 
-    WindowedSetSampler sampler(&size, nullptr, 100);
-    sampler.sample(0xA, 0);
-    sampler.finish();
-    sampler.finish(); // second flush is a no-op
-    EXPECT_EQ(sampler.windowsClosed(), 1u);
-    EXPECT_EQ(size.totalWeight(), 1u);
+    PhaseAccumulator windows(100);
+    windows.sample(0xA, 0);
+    windows.finish();
+    windows.finish(); // second flush is a no-op
+    EXPECT_EQ(windows.windows().size(), 1u);
+    publishWorkingSetSeries(windows, "s", out.registry);
+    EXPECT_EQ(size->totalWeight(), 1u);
 }
 
-TEST(WindowedSetSampler, FinishFlushesFinalPartialWindow)
+TEST(WorkingSetSeries, FinishFlushesFinalPartialWindow)
 {
-    TimeSeries size("size", 100, 64);
-    TimeSeries churn("jaccard", 100, 64);
-    WindowedSetSampler sampler(&size, &churn, 100);
+    SeriesRegistry out;
+    PhaseAccumulator windows(100);
 
     // Window 0 closes naturally: {A, B}.  The tail window [100, 200)
     // only ever sees samples up to ts=130 -- a partial window that
     // nothing but finish() can close.
-    sampler.sample(0xA, 0);
-    sampler.sample(0xB, 99);
-    sampler.sample(0xA, 100);
-    sampler.sample(0xC, 130);
+    windows.sample(0xA, 0);
+    windows.sample(0xB, 99);
+    windows.sample(0xA, 100);
+    windows.sample(0xC, 130);
 
-    // Before the flush only the naturally closed window published.
-    EXPECT_EQ(sampler.windowsClosed(), 1u);
-    ASSERT_EQ(size.points().size(), 1u);
-    EXPECT_TRUE(churn.points().empty());
+    // Before the flush only the naturally closed window exists.
+    EXPECT_EQ(windows.windows().size(), 1u);
 
-    sampler.finish();
-    EXPECT_EQ(sampler.windowsClosed(), 2u);
-    ASSERT_EQ(size.points().size(), 2u);
-    EXPECT_EQ(size.points()[1].start, 100u);
-    EXPECT_DOUBLE_EQ(size.points()[1].mean(), 2.0); // {A, C}
+    windows.finish();
+    publishWorkingSetSeries(windows, "s", out.registry);
+    EXPECT_EQ(windows.windows().size(), 2u);
+    const TimeSeries *size = out.registry.find("s/working_set/size");
+    const TimeSeries *churn =
+        out.registry.find("s/working_set/jaccard");
+    ASSERT_NE(size, nullptr);
+    ASSERT_NE(churn, nullptr);
+    ASSERT_EQ(size->points().size(), 2u);
+    EXPECT_EQ(size->points()[1].start, 100u);
+    EXPECT_DOUBLE_EQ(size->points()[1].mean(), 2.0); // {A, C}
     // The partial window still gets its churn point: {A,C} vs {A,B}.
-    ASSERT_EQ(churn.points().size(), 1u);
-    EXPECT_DOUBLE_EQ(churn.points()[0].mean(), 1.0 / 3.0);
+    ASSERT_EQ(churn->points().size(), 1u);
+    EXPECT_DOUBLE_EQ(churn->points()[0].mean(), 1.0 / 3.0);
+}
+
+TEST(WorkingSetSeries, DisabledRegistryPublishesNothing)
+{
+    TimeSeriesRegistry registry;
+    PhaseAccumulator windows(100);
+    windows.sample(0xA, 0);
+    windows.finish();
+    publishWorkingSetSeries(windows, "s", registry);
+    EXPECT_EQ(registry.seriesCount(), 0u);
+}
+
+TEST(WorkingSetSeriesDeath, UnfinishedAccumulatorPanics)
+{
+    TimeSeriesRegistry registry;
+    PhaseAccumulator windows(100);
+    windows.sample(0xA, 0);
+    EXPECT_DEATH(publishWorkingSetSeries(windows, "s", registry),
+                 "finished");
 }
