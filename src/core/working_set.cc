@@ -1,6 +1,8 @@
 #include "core/working_set.hh"
 
 #include <algorithm>
+#include <bit>
+#include <numeric>
 #include <unordered_map>
 
 #include "obs/metrics.hh"
@@ -30,11 +32,95 @@ plainAdjacency(const ConflictGraph &graph)
 }
 
 bool
-isNeighbor(const std::vector<std::vector<NodeId>> &adj, NodeId a,
-           NodeId b)
+testBit(const std::uint64_t *words, std::size_t bit)
 {
-    const std::vector<NodeId> &list = adj[a];
-    return std::binary_search(list.begin(), list.end(), b);
+    return (words[bit / 64] >> (bit % 64)) & 1;
+}
+
+void
+setBit(std::uint64_t *words, std::size_t bit)
+{
+    words[bit / 64] |= std::uint64_t(1) << (bit % 64);
+}
+
+/**
+ * The graph's adjacency as one bit row per node, with nodes renumbered
+ * by hotness rank: executed count descending, then id ascending.  Bit
+ * r of row rank(a) is set when a is adjacent to the node of rank r,
+ * so the hottest node of any candidate set is its lowest set bit.
+ * Costs n*n/8 bytes for n nodes, built in one pass over the edges.
+ */
+class HotnessRows
+{
+  public:
+    explicit HotnessRows(const ConflictGraph &graph)
+        : _order(graph.nodeCount()), _rank(graph.nodeCount()),
+          _words((graph.nodeCount() + 63) / 64),
+          _bits(graph.nodeCount() * _words, 0)
+    {
+        std::iota(_order.begin(), _order.end(), NodeId(0));
+        std::sort(_order.begin(), _order.end(), [&](NodeId a, NodeId b) {
+            std::uint64_t ea = graph.node(a).executed;
+            std::uint64_t eb = graph.node(b).executed;
+            if (ea != eb)
+                return ea > eb;
+            return a < b;
+        });
+        for (std::size_t r = 0; r < _order.size(); ++r)
+            _rank[_order[r]] = static_cast<NodeId>(r);
+        for (const auto &[key, count] : graph.edges()) {
+            auto [a, b] = ConflictGraph::unpackEdge(key);
+            setBit(&_bits[_rank[a] * _words], _rank[b]);
+            setBit(&_bits[_rank[b] * _words], _rank[a]);
+        }
+    }
+
+    std::size_t size() const { return _order.size(); }
+
+    /** Words per row: ceil(n / 64). */
+    std::size_t words() const { return _words; }
+
+    NodeId id(std::size_t rank) const { return _order[rank]; }
+
+    std::size_t rank(NodeId id) const { return _rank[id]; }
+
+    const std::uint64_t *
+    row(std::size_t rank) const
+    {
+        return &_bits[rank * _words];
+    }
+
+  private:
+    std::vector<NodeId> _order;
+    std::vector<NodeId> _rank;
+    std::size_t _words;
+    std::vector<std::uint64_t> _bits;
+};
+
+/**
+ * Grow a clique greedily, hottest first: take the hottest candidate
+ * (the lowest set bit of @p cand), append it to @p set and keep only
+ * the candidates adjacent to it, until none remain.  Every accepted
+ * member is adjacent to all earlier ones, so @p set ends as a maximal
+ * clique within its starting members plus candidates.  Words below
+ * the current lowest set bit are already zero and are skipped.
+ */
+void
+growClique(const HotnessRows &rows, std::vector<std::uint64_t> &cand,
+           WorkingSet &set)
+{
+    std::size_t words = rows.words();
+    for (std::size_t w = 0; w < words;) {
+        if (cand[w] == 0) {
+            ++w;
+            continue;
+        }
+        std::size_t best = w * 64 + std::countr_zero(cand[w]);
+        set.push_back(rows.id(best));
+        const std::uint64_t *adj = rows.row(best);
+        for (std::size_t j = w; j < words; ++j)
+            cand[j] &= adj[j];
+    }
 }
 
 /** Bron-Kerbosch with pivoting over sorted id vectors. */
@@ -140,19 +226,9 @@ class CliqueEnumerator
 };
 
 WorkingSetResult
-seededCliques(const ConflictGraph &graph,
-              const std::vector<std::vector<NodeId>> &adj)
+seededCliques(const HotnessRows &rows)
 {
     WorkingSetResult result;
-    std::size_t n = graph.nodeCount();
-
-    auto hotter = [&](NodeId a, NodeId b) {
-        std::uint64_t ea = graph.node(a).executed;
-        std::uint64_t eb = graph.node(b).executed;
-        if (ea != eb)
-            return ea > eb;
-        return a < b;
-    };
 
     // Dedup by hashing the sorted member list.
     std::unordered_map<std::uint64_t, std::vector<WorkingSet>> seen;
@@ -163,29 +239,12 @@ seededCliques(const ConflictGraph &graph,
         return h;
     };
 
-    std::vector<NodeId> candidates;
-    std::vector<NodeId> next;
-    for (NodeId seed = 0; seed < n; ++seed) {
+    std::vector<std::uint64_t> cand;
+    for (NodeId seed = 0; seed < rows.size(); ++seed) {
         WorkingSet set{seed};
-        candidates = adj[seed];
-
-        // Grow: repeatedly take the hottest remaining candidate and
-        // intersect the candidate set with its neighbourhood; every
-        // accepted member is adjacent to all previous members, so the
-        // final set is a maximal clique containing the seed.
-        while (!candidates.empty()) {
-            NodeId best = candidates[0];
-            for (NodeId c : candidates)
-                if (hotter(c, best))
-                    best = c;
-            set.push_back(best);
-            next.clear();
-            std::set_intersection(candidates.begin(),
-                                  candidates.end(),
-                                  adj[best].begin(), adj[best].end(),
-                                  std::back_inserter(next));
-            candidates.swap(next);
-        }
+        const std::uint64_t *adj = rows.row(rows.rank(seed));
+        cand.assign(adj, adj + rows.words());
+        growClique(rows, cand, set);
         std::sort(set.begin(), set.end());
 
         std::uint64_t h = set_hash(set);
@@ -204,61 +263,26 @@ seededCliques(const ConflictGraph &graph,
 }
 
 WorkingSetResult
-greedyPartition(const ConflictGraph &graph,
-                const std::vector<std::vector<NodeId>> &adj)
+greedyPartition(const HotnessRows &rows)
 {
     WorkingSetResult result;
-    std::size_t n = graph.nodeCount();
+    std::size_t words = rows.words();
 
     // Hottest branches seed sets first so the dominant loop nests form
-    // coherent sets instead of being absorbed piecemeal.
-    std::vector<NodeId> order(n);
-    for (NodeId i = 0; i < n; ++i)
-        order[i] = i;
-    std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-        std::uint64_t ea = graph.node(a).executed;
-        std::uint64_t eb = graph.node(b).executed;
-        if (ea != eb)
-            return ea > eb;
-        return a < b;
-    });
-
-    std::vector<bool> assigned(n, false);
-    for (NodeId seed : order) {
-        if (assigned[seed])
+    // coherent sets instead of being absorbed piecemeal; a set grows
+    // only over neighbours no earlier set has taken.
+    std::vector<std::uint64_t> assigned(words, 0);
+    std::vector<std::uint64_t> cand(words);
+    for (std::size_t seed = 0; seed < rows.size(); ++seed) {
+        if (testBit(assigned.data(), seed))
             continue;
-        WorkingSet set{seed};
-        assigned[seed] = true;
-
-        // Candidates: unassigned neighbours, hottest first; each must
-        // be adjacent to every current member (complete subgraph).
-        std::vector<NodeId> candidates;
-        for (NodeId v : adj[seed])
-            if (!assigned[v])
-                candidates.push_back(v);
-        std::sort(candidates.begin(), candidates.end(),
-                  [&](NodeId a, NodeId b) {
-                      std::uint64_t ea = graph.node(a).executed;
-                      std::uint64_t eb = graph.node(b).executed;
-                      if (ea != eb)
-                          return ea > eb;
-                      return a < b;
-                  });
-
-        for (NodeId cand : candidates) {
-            bool complete = true;
-            for (NodeId member : set) {
-                if (member != seed &&
-                    !isNeighbor(adj, cand, member)) {
-                    complete = false;
-                    break;
-                }
-            }
-            if (complete) {
-                set.push_back(cand);
-                assigned[cand] = true;
-            }
-        }
+        WorkingSet set{rows.id(seed)};
+        const std::uint64_t *adj = rows.row(seed);
+        for (std::size_t j = 0; j < words; ++j)
+            cand[j] = adj[j] & ~assigned[j];
+        growClique(rows, cand, set);
+        for (NodeId id : set)
+            setBit(assigned.data(), rows.rank(id));
         std::sort(set.begin(), set.end());
         result.sets.push_back(std::move(set));
     }
@@ -266,29 +290,30 @@ greedyPartition(const ConflictGraph &graph,
 }
 
 WorkingSetResult
-connectedComponents(const ConflictGraph &graph,
-                    const std::vector<std::vector<NodeId>> &adj)
+connectedComponents(const HotnessRows &rows)
 {
     WorkingSetResult result;
-    std::size_t n = graph.nodeCount();
-    std::vector<bool> visited(n, false);
-    std::vector<NodeId> stack;
+    std::size_t words = rows.words();
+    std::vector<std::uint64_t> visited(words, 0);
+    std::vector<std::size_t> stack;
 
-    for (NodeId start = 0; start < n; ++start) {
-        if (visited[start])
+    for (NodeId start = 0; start < rows.size(); ++start) {
+        std::size_t first = rows.rank(start);
+        if (testBit(visited.data(), first))
             continue;
         WorkingSet component;
-        stack.push_back(start);
-        visited[start] = true;
+        stack.push_back(first);
+        setBit(visited.data(), first);
         while (!stack.empty()) {
-            NodeId v = stack.back();
+            std::size_t v = stack.back();
             stack.pop_back();
-            component.push_back(v);
-            for (NodeId w : adj[v]) {
-                if (!visited[w]) {
-                    visited[w] = true;
-                    stack.push_back(w);
-                }
+            component.push_back(rows.id(v));
+            const std::uint64_t *adj = rows.row(v);
+            for (std::size_t j = 0; j < words; ++j) {
+                std::uint64_t fresh = adj[j] & ~visited[j];
+                visited[j] |= fresh;
+                for (; fresh != 0; fresh &= fresh - 1)
+                    stack.push_back(j * 64 + std::countr_zero(fresh));
             }
         }
         std::sort(component.begin(), component.end());
@@ -322,22 +347,22 @@ findWorkingSets(const ConflictGraph &graph, WorkingSetDefinition def,
     obs::PhaseTracer::Span span("ws.extract");
     span.addWork(graph.nodeCount());
 
-    std::vector<std::vector<NodeId>> adj = plainAdjacency(graph);
     WorkingSetResult result;
     switch (def) {
       case WorkingSetDefinition::MaximalClique: {
+        std::vector<std::vector<NodeId>> adj = plainAdjacency(graph);
         CliqueEnumerator enumerator(adj, limits, result);
         enumerator.run();
         break;
       }
       case WorkingSetDefinition::SeededClique:
-        result = seededCliques(graph, adj);
+        result = seededCliques(HotnessRows(graph));
         break;
       case WorkingSetDefinition::GreedyPartition:
-        result = greedyPartition(graph, adj);
+        result = greedyPartition(HotnessRows(graph));
         break;
       case WorkingSetDefinition::ConnectedComponent:
-        result = connectedComponents(graph, adj);
+        result = connectedComponents(HotnessRows(graph));
         break;
       default:
         bwsa_panic("unknown WorkingSetDefinition ",

@@ -48,9 +48,15 @@ PredictabilityBinner::label(std::size_t bin) const
                    binCount(), " bins)");
     if (bin == _edges.size())
         return "H>=" + fixedString(_edges.back(), 2);
+    // Appended piecewise: GCC 12 reports a false -Wrestrict inside
+    // libstdc++ for the equivalent chain of operator+.
     const double lo = bin == 0 ? 0.0 : _edges[bin - 1];
-    return "[" + fixedString(lo, 2) + "," +
-           fixedString(_edges[bin], 2) + ")";
+    std::string label = "[";
+    label.append(fixedString(lo, 2));
+    label.append(",");
+    label.append(fixedString(_edges[bin], 2));
+    label.append(")");
+    return label;
 }
 
 double

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <unordered_map>
 
 #include <gtest/gtest.h>
 
@@ -17,9 +19,13 @@
 #include "core/classification.hh"
 #include "core/pipeline.hh"
 #include "core/working_set.hh"
+#include "profile/interleave.hh"
+#include "util/bitfield.hh"
+#include "util/random.hh"
 #include "workload/builder.hh"
 #include "workload/executor.hh"
 #include "workload/generator.hh"
+#include "workload/presets.hh"
 
 using namespace bwsa;
 
@@ -227,6 +233,223 @@ TEST(WorkingSets, StatsComputeStaticAndDynamicAverages)
     // (3*300 + 1*1) / 301
     EXPECT_NEAR(stats.avg_dynamic_size, 901.0 / 301.0, 1e-9);
     EXPECT_EQ(stats.max_size, 3u);
+}
+
+// ------------------------------------ extraction vs sorted-vector reference
+
+namespace
+{
+
+/*
+ * Reference extraction over sorted neighbour vectors: the clique
+ * growth, partition and component search written the direct way, so
+ * the bit-row extraction can be checked set for set, in order.
+ */
+
+std::vector<std::vector<NodeId>>
+referenceAdjacency(const ConflictGraph &graph)
+{
+    std::vector<std::vector<NodeId>> adj(graph.nodeCount());
+    for (const auto &[key, count] : graph.edges()) {
+        auto [a, b] = ConflictGraph::unpackEdge(key);
+        adj[a].push_back(b);
+        adj[b].push_back(a);
+    }
+    for (auto &list : adj)
+        std::sort(list.begin(), list.end());
+    return adj;
+}
+
+bool
+referenceHotter(const ConflictGraph &graph, NodeId a, NodeId b)
+{
+    std::uint64_t ea = graph.node(a).executed;
+    std::uint64_t eb = graph.node(b).executed;
+    if (ea != eb)
+        return ea > eb;
+    return a < b;
+}
+
+std::vector<WorkingSet>
+referenceSeededCliques(const ConflictGraph &graph)
+{
+    std::vector<std::vector<NodeId>> adj = referenceAdjacency(graph);
+    std::vector<WorkingSet> sets;
+    std::unordered_map<std::uint64_t, std::vector<WorkingSet>> seen;
+    auto set_hash = [](const WorkingSet &set) {
+        std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+        for (NodeId id : set)
+            h = mix64(h ^ (id + 0x100));
+        return h;
+    };
+
+    std::vector<NodeId> candidates;
+    std::vector<NodeId> next;
+    for (NodeId seed = 0; seed < graph.nodeCount(); ++seed) {
+        WorkingSet set{seed};
+        candidates = adj[seed];
+        while (!candidates.empty()) {
+            NodeId best = candidates[0];
+            for (NodeId c : candidates)
+                if (referenceHotter(graph, c, best))
+                    best = c;
+            set.push_back(best);
+            next.clear();
+            std::set_intersection(candidates.begin(), candidates.end(),
+                                  adj[best].begin(), adj[best].end(),
+                                  std::back_inserter(next));
+            candidates.swap(next);
+        }
+        std::sort(set.begin(), set.end());
+
+        std::uint64_t h = set_hash(set);
+        bool duplicate = false;
+        for (const WorkingSet &prior : seen[h])
+            if (prior == set) {
+                duplicate = true;
+                break;
+            }
+        if (!duplicate) {
+            seen[h].push_back(set);
+            sets.push_back(std::move(set));
+        }
+    }
+    return sets;
+}
+
+std::vector<WorkingSet>
+referenceGreedyPartition(const ConflictGraph &graph)
+{
+    std::vector<std::vector<NodeId>> adj = referenceAdjacency(graph);
+    auto hotter = [&](NodeId a, NodeId b) {
+        return referenceHotter(graph, a, b);
+    };
+    std::size_t n = graph.nodeCount();
+    std::vector<NodeId> order(n);
+    for (NodeId i = 0; i < n; ++i)
+        order[i] = i;
+    std::sort(order.begin(), order.end(), hotter);
+
+    std::vector<WorkingSet> sets;
+    std::vector<bool> assigned(n, false);
+    for (NodeId seed : order) {
+        if (assigned[seed])
+            continue;
+        WorkingSet set{seed};
+        assigned[seed] = true;
+        std::vector<NodeId> candidates;
+        for (NodeId v : adj[seed])
+            if (!assigned[v])
+                candidates.push_back(v);
+        std::sort(candidates.begin(), candidates.end(), hotter);
+        for (NodeId cand : candidates) {
+            bool complete = true;
+            for (NodeId member : set) {
+                if (member != seed &&
+                    !std::binary_search(adj[cand].begin(),
+                                        adj[cand].end(), member)) {
+                    complete = false;
+                    break;
+                }
+            }
+            if (complete) {
+                set.push_back(cand);
+                assigned[cand] = true;
+            }
+        }
+        std::sort(set.begin(), set.end());
+        sets.push_back(std::move(set));
+    }
+    return sets;
+}
+
+std::vector<WorkingSet>
+referenceConnectedComponents(const ConflictGraph &graph)
+{
+    std::vector<std::vector<NodeId>> adj = referenceAdjacency(graph);
+    std::size_t n = graph.nodeCount();
+    std::vector<WorkingSet> sets;
+    std::vector<bool> visited(n, false);
+    std::vector<NodeId> stack;
+    for (NodeId start = 0; start < n; ++start) {
+        if (visited[start])
+            continue;
+        WorkingSet component;
+        stack.push_back(start);
+        visited[start] = true;
+        while (!stack.empty()) {
+            NodeId v = stack.back();
+            stack.pop_back();
+            component.push_back(v);
+            for (NodeId w : adj[v]) {
+                if (!visited[w]) {
+                    visited[w] = true;
+                    stack.push_back(w);
+                }
+            }
+        }
+        std::sort(component.begin(), component.end());
+        sets.push_back(std::move(component));
+    }
+    return sets;
+}
+
+/**
+ * Random graph whose execution counts come from {1..4}, so most
+ * hotness comparisons fall through to the id tie-break.
+ */
+ConflictGraph
+tiedRandomGraph(std::uint64_t seed, std::size_t nodes, double density)
+{
+    Pcg32 rng(seed);
+    ConflictGraph g;
+    for (std::size_t i = 0; i < nodes; ++i)
+        g.restoreNode(0x1000 + 8 * i, 1 + rng.nextBounded(4), 0);
+    for (NodeId a = 0; a < nodes; ++a)
+        for (NodeId b = a + 1; b < nodes; ++b)
+            if (rng.nextBool(density))
+                g.addInterleave(a, b, 1);
+    return g;
+}
+
+void
+expectMatchesReference(const ConflictGraph &g, const std::string &label)
+{
+    EXPECT_EQ(
+        findWorkingSets(g, WorkingSetDefinition::SeededClique).sets,
+        referenceSeededCliques(g))
+        << "seeded-clique " << label;
+    EXPECT_EQ(
+        findWorkingSets(g, WorkingSetDefinition::GreedyPartition).sets,
+        referenceGreedyPartition(g))
+        << "greedy-partition " << label;
+    EXPECT_EQ(
+        findWorkingSets(g, WorkingSetDefinition::ConnectedComponent).sets,
+        referenceConnectedComponents(g))
+        << "connected-component " << label;
+}
+
+} // namespace
+
+TEST(WorkingSetEquivalence, RandomGraphsMatchSortedVectorReference)
+{
+    // Sizes straddle the 64-bit word boundaries of the bit rows.
+    std::uint64_t seed = 1;
+    for (std::size_t nodes : {0u, 1u, 63u, 64u, 65u, 130u, 300u})
+        for (double density : {0.05, 0.25, 0.5, 0.75, 0.95}) {
+            ConflictGraph g = tiedRandomGraph(seed++, nodes, density);
+            expectMatchesReference(
+                g, std::to_string(nodes) + " nodes at " +
+                       std::to_string(density));
+        }
+}
+
+TEST(WorkingSetEquivalence, ProfiledPresetMatchesSortedVectorReference)
+{
+    Workload w = makeWorkload("m88ksim", "", 0.05);
+    ConflictGraph pruned = profileTrace(w.source()).pruned(100);
+    ASSERT_GT(pruned.edgeCount(), 0u);
+    expectMatchesReference(pruned, "m88ksim@0.05");
 }
 
 // ---------------------------------------------------------- classification
